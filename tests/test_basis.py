@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -209,6 +210,35 @@ def test_build_is_deterministic(built_bases):
     again = build(6)
     assert again.perms() == built_bases[6].perms()
     assert [r.pivot for r in again.rows] == [r.pivot for r in built_bases[6].rows]
+
+
+# SHA-256 of build(n).to_text() at the default seed.  Any change to the
+# builder that alters a row, a pivot or the row order shows up here.
+GOLDEN_BASIS_SHA256 = {
+    5: "a40f5a381a1174be7cde06267fed53d562ee034ecab2564dc2b48fe9873b7e17",
+    6: "8643036d9bc4b14d75053f0a8ecc4b15b11fa9cc44845bffad28fb62938f5d7a",
+    7: "3386202d3834c693480f3b3f5616183f38656056b2bc3c36eb974eaef378b6b6",
+    8: "c4edf31320df8a7feacedc35b69c8ced16120cbf810a9ecd46ea82e2b4a865a2",
+    9: "0a1ed3c9aef163fb0cdd97fac431c5652602fba7a7ec8bf5e06c5ffe778c7637",
+    10: "9bb40c990a2164fc96ee83238f51a981a6aa41e9064d7e112754c66f6d8dbae8",
+}
+
+
+def _text_sha256(basis: UpperTriangularBasis) -> str:
+    return hashlib.sha256(basis.to_text().encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_build_matches_golden_hash(built_bases, n):
+    assert built_bases[n].certified
+    assert _text_sha256(built_bases[n]) == GOLDEN_BASIS_SHA256[n]
+
+
+def test_build_ten_matches_golden_hash():
+    b10 = build(10)
+    assert b10.certified
+    assert len(b10) == dimension_upper_bound(10)
+    assert _text_sha256(b10) == GOLDEN_BASIS_SHA256[10]
 
 
 # -- verification negatives ------------------------------------------------------
