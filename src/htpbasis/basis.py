@@ -10,13 +10,16 @@ n >= 5:
 * each later order starts from structured families that park city n on
   day 1, appends the previous basis lifted by parking city n on day n,
   and fills the remaining rank deficit with tours that park city n on an
-  interior day, selected by exact rank probing;
+  interior day, selected by rank probing modulo a prime (sound in the
+  one direction it is used: independence mod p implies independence
+  over Q);
 * the full set is then reordered greedily so every row regains a private
   pivot edge, and certified by an independent exact rank computation.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,7 +28,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .annihilators import dimension_upper_bound
 from .base5 import BASE5_ROWS
-from .linalg import EdgeVector, IntegerEchelon
+from .linalg import EdgeVector, ModularEchelon
 from .report import Report
 from .timegraph import Edge, edge_count, edge_index, htp_edges, htp_vector
 
@@ -316,40 +319,53 @@ def _completion_pool(n: int) -> list[tuple[int, ...]]:
 def _greedy_ut_order(n: int, perms: Sequence[tuple[int, ...]]) -> list[int] | None:
     """Order rows so each owns an edge unused by all later rows.
 
-    Repeatedly picks the first remaining row holding an edge of remaining
-    multiplicity one.  Removing a placed row can only free edges, so if any
-    valid order exists the greedy finds one; None signals a stall.
+    Repeatedly picks the lowest-indexed remaining row holding an edge of
+    remaining multiplicity one.  Removing a placed row can only free edges,
+    so if any valid order exists the greedy finds one; None signals a stall.
+
+    A row that holds an edge of count one keeps it until the row itself is
+    placed, so the candidates live in a min-heap.  Each edge also tracks
+    the sum of its remaining holders' indices: when its count drops to one,
+    that sum is the last holder.  Total work is linear in the edges listed.
     """
     edge_sets = [frozenset(htp_edges(n, p)) for p in perms]
     count: dict[Edge, int] = {}
-    for es in edge_sets:
+    holders: dict[Edge, int] = {}
+    for ri, es in enumerate(edge_sets):
         for e in es:
             count[e] = count.get(e, 0) + 1
-    remaining = list(range(len(perms)))
+            holders[e] = holders.get(e, 0) + ri
+    ready = [holders[e] for e, k in count.items() if k == 1]
+    heapq.heapify(ready)
+    placed = [False] * len(perms)
     order: list[int] = []
-    while remaining:
-        pick = None
-        for ri in remaining:
-            if any(count[e] == 1 for e in edge_sets[ri]):
-                pick = ri
-                break
-        if pick is None:
-            return None
+    while ready:
+        pick = heapq.heappop(ready)
+        if placed[pick]:
+            continue
+        placed[pick] = True
         order.append(pick)
-        remaining.remove(pick)
         for e in edge_sets[pick]:
             count[e] -= 1
-    return order
+            holders[e] -= pick
+            if count[e] == 1:
+                heapq.heappush(ready, holders[e])
+    return order if len(order) == len(perms) else None
 
 
 def _probe_candidates(n: int, base_perms: Sequence[tuple[int, ...]],
                       pool: Iterable[tuple[int, ...]],
                       target: int) -> tuple[list[tuple[int, ...]], int]:
-    """Greedily add pool tours that raise the exact rank until target."""
-    ech = IntegerEchelon(edge_count(n))
+    """Greedily add pool tours that raise the rank mod p until target.
+
+    Independence mod p implies independence over Q, so every tour kept is
+    independent of the others over Q; a tour independent only over Q is
+    skipped.  The returned rank is a lower bound on the rank over Q.
+    """
+    ech = ModularEchelon(edge_count(n))
     for p in base_perms:
-        if not ech.add(htp_vector(n, p).to_dense()):
-            raise CompletionError(ech.rank, target, "seeding (dependent partial rows)")
+        if not ech.add(htp_vector(n, p).entries):
+            raise CompletionError(ech.rank, target, "seeding (partial rows dependent mod p)")
     seen = set(base_perms)
     added: list[tuple[int, ...]] = []
     for cand in pool:
@@ -358,7 +374,7 @@ def _probe_candidates(n: int, base_perms: Sequence[tuple[int, ...]],
         if cand in seen:
             continue
         seen.add(cand)
-        if ech.add(htp_vector(n, cand).to_dense()):
+        if ech.add(htp_vector(n, cand).entries):
             added.append(cand)
     return added, ech.rank
 

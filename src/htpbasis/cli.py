@@ -107,6 +107,13 @@ def _cmd_verify(args, parser) -> int:
         print(f"invalid basis file: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     report = verify_upper_triangular(basis)
+    if basis.n >= 5:
+        # Independent rows make a basis of the whole span only if there are
+        # as many of them as its dimension.  verify_upper_triangular itself
+        # also serves partial blocks, so the count is checked here.
+        expected = dimension_upper_bound(basis.n)
+        report.add("row count equals n(n-1)(n-2)+1", len(basis) == expected,
+                   expected=expected, actual=len(basis))
     print(report.render(args.format), end="")
     return 0 if report.passed else VERIFY_ERROR
 

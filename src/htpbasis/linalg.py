@@ -6,10 +6,11 @@ update row is rescaled by its content, which keeps intermediates small on
 incidence-style matrices), and orthogonalization runs on Fractions since
 the rationals have no square roots to normalize with.
 
-rank() optionally runs a single elimination modulo a fixed word-sized
-prime first.  A rank modulo p never exceeds the rank over Q, so when the
-modular rank equals the row count the exact answer is certified without
-touching big integers; in every other case the exact elimination runs.
+rank() optionally runs a single sparse elimination modulo a fixed
+word-sized prime first.  A rank modulo p never exceeds the rank over Q, so
+when the modular rank equals the row count the exact answer is certified
+without touching big integers or dense rows; in every other case the exact
+elimination runs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+# Unused at run time since the modular echelon went sparse; the import
+# stays while the benchmark's start-up probe reads numpy's import time.
+import numpy as np  # noqa: F401
 
 __all__ = [
     "EdgeVector",
@@ -161,17 +164,29 @@ def _common_dim(vectors: Sequence[EdgeVector]) -> int:
     return dims.pop()
 
 
-def _integer_dense(v: EdgeVector) -> list[int]:
-    """Dense integer copy of v, scaled by the lcm of its denominators."""
+def _integer_entries(v: EdgeVector) -> dict[int, int]:
+    """Sparse integer copy of v's entries, scaled by the lcm of its denominators."""
     scale = 1
     for val in v.entries.values():
         if isinstance(val, Fraction):
             scale = lcm(scale, val.denominator)
-    out = [0] * v.dim
+    out: dict[int, int] = {}
     for k, val in v.entries.items():
         sv = val * scale
         out[k] = sv.numerator if isinstance(sv, Fraction) else int(sv)
     return out
+
+
+def _dense(entries: Mapping[int, int], dim: int) -> list[int]:
+    out = [0] * dim
+    for k, val in entries.items():
+        out[k] = val
+    return out
+
+
+def _integer_dense(v: EdgeVector) -> list[int]:
+    """Dense integer copy of v, scaled by the lcm of its denominators."""
+    return _dense(_integer_entries(v), v.dim)
 
 
 class IntegerEchelon:
@@ -236,27 +251,50 @@ class IntegerEchelon:
 
 
 class ModularEchelon:
-    """Incremental echelon form over the integers modulo MODULAR_PRIME."""
+    """Incremental sparse echelon form over the integers modulo a prime.
+
+    Rows are dicts column -> nonzero residue, keyed by their highest
+    column (the pivot) and scaled so the pivot entry is 1; a dense row is
+    never built, so memory follows the nonzeros present.  On tour vectors
+    the highest column causes less fill-in than the lowest: build(10) spends
+    about half as long here.  A set of rows that is independent modulo p
+    is independent over Q, never the other way round: a rejected row may
+    still be independent over Q.
+    """
 
     def __init__(self, dim: int, prime: int = MODULAR_PRIME):
         self.dim = dim
         self.prime = prime
-        self.rows: dict[int, np.ndarray] = {}
+        self.rows: dict[int, dict[int, int]] = {}
 
-    def add(self, v: Sequence[int]) -> bool:
+    def add(self, entries: Mapping[int, int]) -> bool:
+        """Insert the integer row column -> value if independent mod p.
+
+        Reports whether the rank grew.  entries is only read, so an
+        EdgeVector's entries mapping can be passed as it is.
+        """
         p = self.prime
-        w = np.asarray([x % p for x in v], dtype=np.int64)
-        while True:
-            nz = np.nonzero(w)[0]
-            if nz.size == 0:
-                return False
-            c = int(nz[0])
-            row = self.rows.get(c)
+        rows = self.rows
+        w = {}
+        for k, x in entries.items():
+            r = x % p
+            if r:
+                w[k] = r
+        while w:
+            c = max(w)
+            row = rows.get(c)
             if row is None:
-                inv = pow(int(w[c]), -1, p)
-                self.rows[c] = (w * inv) % p
+                inv = pow(w[c], -1, p)
+                rows[c] = {k: x * inv % p for k, x in w.items()}
                 return True
-            w = (w - int(w[c]) * row) % p
+            f = w[c]
+            for k, x in row.items():
+                r = (w.get(k, 0) - f * x) % p
+                if r:
+                    w[k] = r
+                else:
+                    del w[k]
+        return False
 
     @property
     def rank(self) -> int:
@@ -274,15 +312,15 @@ def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "low",
     vecs = [v for v in vectors if not v.is_zero]
     if not vecs:
         return 0
-    _common_dim(vecs)
-    rows = [_integer_dense(v) for v in vecs]
+    dim = _common_dim(vecs)
+    rows = [_integer_entries(v) for v in vecs]
     if modular_prepass:
-        mod = ModularEchelon(vecs[0].dim)
+        mod = ModularEchelon(dim)
         if all(mod.add(r) for r in rows):
             return len(rows)
-    ech = IntegerEchelon(vecs[0].dim, pivot_order=pivot_order)
+    ech = IntegerEchelon(dim, pivot_order=pivot_order)
     for r in rows:
-        ech.add(r)
+        ech.add(_dense(r, dim))
     return ech.rank
 
 

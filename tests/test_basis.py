@@ -10,6 +10,7 @@ from htpbasis.basis import (
     PivotError,
     PivotedHtp,
     UpperTriangularBasis,
+    _greedy_ut_order,
     build,
     complete_basis,
     find_pivot_sequence,
@@ -239,6 +240,69 @@ def test_build_ten_matches_golden_hash():
     assert b10.certified
     assert len(b10) == dimension_upper_bound(10)
     assert _text_sha256(b10) == GOLDEN_BASIS_SHA256[10]
+
+
+# -- greedy pivot order ---------------------------------------------------------
+
+def _greedy_ut_order_by_rescan(n, perms):
+    """Reference: rescan all remaining rows for each pick (quadratic)."""
+    edge_sets = [frozenset(htp_edges(n, p)) for p in perms]
+    count = {}
+    for es in edge_sets:
+        for e in es:
+            count[e] = count.get(e, 0) + 1
+    remaining = list(range(len(perms)))
+    order = []
+    while remaining:
+        pick = None
+        for ri in remaining:
+            if any(count[e] == 1 for e in edge_sets[ri]):
+                pick = ri
+                break
+        if pick is None:
+            return None
+        order.append(pick)
+        remaining.remove(pick)
+        for e in edge_sets[pick]:
+            count[e] -= 1
+    return order
+
+
+def _random_tours(n, count, rng):
+    tours = set()
+    while len(tours) < count:
+        p = list(range(1, n + 1))
+        rng.shuffle(p)
+        tours.add(tuple(p))
+    return sorted(tours, key=lambda _: rng.random())
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_greedy_order_matches_rescan_reference(built_bases, n):
+    rng = random.Random(100 + n)
+    cases = []
+    for _ in range(3):
+        rows = built_bases[n].perms()
+        rng.shuffle(rows)
+        cases.append(rows)
+    # Sets smaller than the span's dimension tend to order; larger ones
+    # are dependent, so they must stall.
+    dim = dimension_upper_bound(n)
+    for size in (5, 40, dim // 2, dim + 30):
+        cases.append(_random_tours(n, size, rng))
+    outcomes = set()
+    for perms in cases:
+        got = _greedy_ut_order(n, perms)
+        assert got == _greedy_ut_order_by_rescan(n, perms)
+        outcomes.add(got is None)
+    assert outcomes == {False, True}
+
+
+def test_greedy_order_stalls_on_repeated_tour():
+    perms = [(1, 2, 3, 4, 5, 6), (2, 1, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)]
+    assert _greedy_ut_order_by_rescan(6, perms) is None
+    assert _greedy_ut_order(6, perms) is None
+    assert _greedy_ut_order(6, perms[:2]) == _greedy_ut_order_by_rescan(6, perms[:2]) == [0, 1]
 
 
 # -- verification negatives ------------------------------------------------------

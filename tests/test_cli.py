@@ -68,6 +68,19 @@ def test_verify_reordered_rows_fail_pivot_check(tmp_path, capsys):
     assert "FAIL pivot edges are private to their rows" in out
 
 
+def test_verify_rejects_short_basis(tmp_path, capsys):
+    path = str(tmp_path / "b6.txt")
+    assert run(capsys, "basis", "--n", "6", "--out", path)[0] == 0
+    lines = open(path).read().splitlines()
+    assert lines[1] == "rows 121"
+    short = ["n 6", "rows 111", lines[2]] + lines[3:3 + 111]
+    open(path, "w").write("\n".join(short) + "\n")
+    code, out, _ = run(capsys, "verify", path)
+    assert code == 1
+    assert "FAIL row count equals n(n-1)(n-2)+1 (expected 121, got 111)" in out
+    assert "ok   exact rank equals row count" in out
+
+
 def test_oracle_output(capsys):
     code, out, _ = run(capsys, "oracle", "--n", "5")
     assert code == 0

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,8 +8,11 @@ from hypothesis import given, strategies as st
 from htpbasis.annihilators import city_annihilator
 from htpbasis.base5 import BASE5_ROWS
 from htpbasis.linalg import (
+    MODULAR_PRIME,
     EdgeVector,
+    IntegerEchelon,
     LinearDependenceError,
+    ModularEchelon,
     Subspace,
     annihilator_basis,
     annihilator_basis_gram_schmidt,
@@ -153,6 +157,68 @@ def test_rank_modular_prepass_never_changes_answer():
         plain = rank(vs, modular_prepass=False)
         assert rank(vs, modular_prepass=True) == plain
         assert rank(vs, pivot_order="high", modular_prepass=False) == plain
+
+
+@pytest.mark.parametrize("rows, expected", [
+    ([[MODULAR_PRIME, 0], [0, 1]], 2),           # a row that vanishes mod p
+    ([[MODULAR_PRIME + 1, 1], [1, 1]], 2),       # equal mod p, independent over Q
+    ([[Fraction(1, MODULAR_PRIME), 1], [1, 0]], 2),  # denominator p
+    ([[MODULAR_PRIME, MODULAR_PRIME], [1, 1]], 1),   # truly dependent
+])
+def test_rank_prepass_falls_through_when_p_divides(rows, expected):
+    vs = [EdgeVector.from_dense(r) for r in rows]
+    # rank() clears each row's denominators before reducing it mod p.
+    mod = ModularEchelon(2)
+    cleared = []
+    for v in vs:
+        scale = lcm(*(Fraction(x).denominator for x in v.entries.values()))
+        cleared.append({k: int(x * scale) for k, x in v.entries.items()})
+    assert mod.add(cleared[0]) + mod.add(cleared[1]) < 2
+    assert rank(vs, modular_prepass=True) == expected
+    assert rank(vs, modular_prepass=False) == expected
+
+
+# Entries at or next to multiples of the prime, some with the prime as
+# denominator, so that rank mod p often falls below the rank over Q.
+_near_prime_multiples = st.builds(
+    lambda k, r, d: Fraction(k * MODULAR_PRIME + r, d),
+    st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([1, 1, 3, MODULAR_PRIME]))
+
+
+@given(st.integers(1, 5).flatmap(lambda dim: st.lists(
+    st.lists(_near_prime_multiples, min_size=dim, max_size=dim), min_size=1, max_size=6)))
+def test_rank_prepass_agrees_on_rows_near_prime_multiples(rows):
+    vs = [EdgeVector.from_dense(r) for r in rows]
+    assert rank(vs, modular_prepass=True) == rank(vs, modular_prepass=False)
+
+
+def test_modular_echelon_takes_sparse_rows_below_exact_rank():
+    rng = random.Random(13)
+    values = [1, -1, 2, 3, MODULAR_PRIME, -2 * MODULAR_PRIME, MODULAR_PRIME + 1]
+    for _ in range(60):
+        dim = rng.randint(1, 9)
+        mod, exact = ModularEchelon(dim), IntegerEchelon(dim)
+        for _ in range(rng.randint(1, 10)):
+            entries = {k: rng.choice(values) for k in rng.sample(range(dim), rng.randint(1, dim))}
+            before = dict(entries)
+            mod.add(entries)
+            assert entries == before
+            dense = [0] * dim
+            for k, x in entries.items():
+                dense[k] = x
+            exact.add(dense)
+            assert mod.rank <= exact.rank
+        for row in mod.rows.values():
+            assert all(0 < x < MODULAR_PRIME for x in row.values())
+
+    # Tour vectors go in as their entries mapping, as the basis builder passes them.
+    n = 7
+    mod = ModularEchelon(edge_count(n))
+    perms = random.Random(2).sample(list(permutations(range(1, n + 1))), 300)
+    vs = [htp_vector(n, p) for p in perms]
+    for v in vs:
+        mod.add(v.entries)
+    assert mod.rank == rank(vs, modular_prepass=False)
 
 
 def test_rank_matches_gram_schmidt_of_independent_subset():
