@@ -256,10 +256,10 @@ class ModularEchelon:
     Rows are dicts column -> nonzero residue, keyed by their highest
     column (the pivot) and scaled so the pivot entry is 1; a dense row is
     never built, so memory follows the nonzeros present.  On tour vectors
-    the highest column causes less fill-in than the lowest: build(10) spends
-    about half as long here.  A set of rows that is independent modulo p
-    is independent over Q, never the other way round: a rejected row may
-    still be independent over Q.
+    the highest column causes less fill-in than the lowest: build(10)
+    spends about half as long here.  A set of rows that is independent
+    modulo p is independent over Q, never the other way round: a rejected
+    row may still be independent over Q.
     """
 
     def __init__(self, dim: int, prime: int = MODULAR_PRIME):

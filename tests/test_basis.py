@@ -269,12 +269,13 @@ def _greedy_ut_order_by_rescan(n, perms):
 
 
 def _random_tours(n, count, rng):
-    tours = set()
+    tours = []
     while len(tours) < count:
         p = list(range(1, n + 1))
         rng.shuffle(p)
-        tours.add(tuple(p))
-    return sorted(tours, key=lambda _: rng.random())
+        if tuple(p) not in tours:
+            tours.append(tuple(p))
+    return tours
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
