@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import lcm
@@ -5,7 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from htpbasis.annihilators import city_annihilator
+from htpbasis.annihilators import city_annihilator, dimension_upper_bound
 from htpbasis.base5 import BASE5_ROWS
 from htpbasis.linalg import (
     MODULAR_PRIME,
@@ -316,6 +317,46 @@ def test_annihilator_gram_schmidt_route_agrees():
         span_fast, span_slow = Subspace(fast), Subspace(slow)
         assert all(span_fast.contains(w) for w in slow)
         assert all(span_slow.contains(w) for w in fast)
+
+
+def _spanning_sample(n: int, seed: int, extra: int) -> list[tuple[int, ...]]:
+    """Seeded tours whose span is the whole tour space, then extra dependent ones."""
+    pool = list(permutations(range(1, n + 1)))
+    random.Random(seed).shuffle(pool)
+    mod = ModularEchelon(edge_count(n))
+    chosen, rest = [], []
+    for p in pool:
+        if mod.rank < dimension_upper_bound(n) and mod.add(htp_vector(n, p).entries):
+            chosen.append(p)
+        else:
+            rest.append(p)
+    return chosen + rest[:extra]
+
+
+def _vectors_sha256(vectors) -> str:
+    text = "".join(" ".join(f"{k}:{x}" for k, x in v.items()) + "\n" for v in vectors)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+# SHA-256 of annihilator_basis output, one line of sorted index:value pairs
+# per vector, in output order.  Any change of elimination kernel must keep
+# these bytes.
+GOLDEN_ANNIHILATOR_SHA256 = {
+    "all order-5 tours": "e77a959c40fd8a61e6375e09466dea15bb1746ebaaba974ef7170f57781d8c53",
+    "spanning order-6 sample": "4dfdfcc3c6d5ab76a5d546f59522777ee0f4a7f0491123da029663d467e3e446",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ANNIHILATOR_SHA256))
+def test_annihilator_basis_matches_golden_hash(case):
+    if case == "all order-5 tours":
+        n, perms = 5, list(permutations(range(1, 6)))
+    else:
+        n, perms = 6, _spanning_sample(6, seed=6, extra=10)
+        assert len(perms) == dimension_upper_bound(6) + 10
+    ann = annihilator_basis([htp_vector(n, p) for p in perms], edge_count(n))
+    assert len(ann) == edge_count(n) - dimension_upper_bound(n)
+    assert _vectors_sha256(ann) == GOLDEN_ANNIHILATOR_SHA256[case]
 
 
 def test_edgevector_entry_validation():
