@@ -1,15 +1,21 @@
 """Exact linear algebra over the rationals for sparse indexed vectors.
 
-Everything here is exact: vectors carry int or Fraction entries, rank and
-span questions are settled by fraction-free integer elimination (each
-update row is rescaled by its content, which keeps intermediates small on
-incidence-style matrices), and orthogonalization runs on Fractions since
-the rationals have no square roots to normalize with.
+Vectors are sparse (an EdgeVector stores only its nonzero int or Fraction
+entries), and every exact rank, span and nullspace question is settled by
+one kernel, IntegerEchelon: a sparse fraction-free echelon form over Z.
+A rational row is cleared of denominators, its pivot is the lowest or the
+highest column of its residual (the pivot_order parameter), elimination
+uses gcd-reduced multipliers, and each stored row is divided by its
+content with a positive pivot entry.  No dense row is ever built, so time
+and memory follow the nonzeros present.  annihilator_basis back-substitutes
+the 'low' echelon to reduced form and reads the nullspace off it;
+orthogonalization runs on Fractions since the rationals have no square
+roots to normalize with.
 
-rank() optionally runs a single sparse elimination modulo a fixed
-word-sized prime first.  A rank modulo p never exceeds the rank over Q, so
-when the modular rank equals the row count the exact answer is certified
-without touching big integers or dense rows; in every other case the exact
+rank() optionally runs the same sparse elimination modulo a fixed
+word-sized prime first (ModularEchelon).  A rank modulo p never exceeds the
+rank over Q, so when the modular rank equals the row count the exact
+answer is certified without big integers; in every other case the exact
 elimination runs.
 """
 
@@ -164,86 +170,97 @@ def _common_dim(vectors: Sequence[EdgeVector]) -> int:
     return dims.pop()
 
 
-def _integer_entries(v: EdgeVector) -> dict[int, int]:
-    """Sparse integer copy of v's entries, scaled by the lcm of its denominators."""
+def _integer_entries(entries: Mapping[int, object]) -> dict[int, int]:
+    """Integer copy of a sparse row, scaled by the lcm of its denominators."""
     scale = 1
-    for val in v.entries.values():
+    for val in entries.values():
         if isinstance(val, Fraction):
             scale = lcm(scale, val.denominator)
     out: dict[int, int] = {}
-    for k, val in v.entries.items():
+    for k, val in entries.items():
         sv = val * scale
         out[k] = sv.numerator if isinstance(sv, Fraction) else int(sv)
     return out
 
 
-def _dense(entries: Mapping[int, int], dim: int) -> list[int]:
-    out = [0] * dim
-    for k, val in entries.items():
-        out[k] = val
-    return out
+def _primitive(dim: int, entries: Mapping[int, object]) -> EdgeVector:
+    """The positive multiple of a nonzero row with coprime integer entries."""
+    ints = _integer_entries(entries)
+    g = gcd(*ints.values())
+    return EdgeVector(dim, {k: ints[k] // g for k in sorted(ints)})
 
 
-def _integer_dense(v: EdgeVector) -> list[int]:
-    """Dense integer copy of v, scaled by the lcm of its denominators."""
-    return _dense(_integer_entries(v), v.dim)
+def _eliminate(w: dict[int, int], row: Mapping[int, int], c: int) -> dict[int, int]:
+    """a*w - b*row with the smallest integers a > 0, b that clear column c.
+
+    w may be updated in place; the result is returned either way.
+    """
+    a, b = row[c], w[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a != 1:
+        w = {k: a * x for k, x in w.items()}
+    for k, x in row.items():
+        r = w.get(k, 0) - b * x
+        if r:
+            w[k] = r
+        else:
+            del w[k]
+    return w
+
+
+def _normalized(w: Mapping[int, int], c: int) -> dict[int, int]:
+    """w divided by its content, signed so that the entry at column c is positive."""
+    g = gcd(*w.values())
+    if w[c] < 0:
+        g = -g
+    return {k: x // g for k, x in w.items()}
 
 
 class IntegerEchelon:
-    """Incremental fraction-free echelon form of integer rows.
+    """Incremental sparse fraction-free echelon form of integer rows.
 
-    Rows are stored divided by their content with a positive leading entry,
-    keyed by pivot column.  pivot_order 'low' scans leading entries from
-    index 0 upward (the default everywhere), 'high' from the top index
-    downward (used by the brute-force checker as an implementation hedge).
+    Rows are dicts column -> nonzero int, keyed by their pivot column and
+    stored divided by their content with a positive pivot entry.
+    pivot_order 'low' takes each residual's lowest column as its pivot (the
+    default everywhere), 'high' its highest (used by the brute-force
+    checker as an implementation hedge).  Rows go in as sparse mappings,
+    such as an EdgeVector's integer entries, and are only read.
     """
 
     def __init__(self, dim: int, pivot_order: str = "low"):
         if pivot_order not in ("low", "high"):
             raise ValueError(f"pivot_order must be 'low' or 'high', got {pivot_order!r}")
         self.dim = dim
-        self.pivot_order = pivot_order
-        self.rows: dict[int, list[int]] = {}
+        self._lead = min if pivot_order == "low" else max
+        self.rows: dict[int, dict[int, int]] = {}
 
-    def _lead(self, v: list[int]) -> int:
-        rng = range(self.dim) if self.pivot_order == "low" else range(self.dim - 1, -1, -1)
-        for c in rng:
-            if v[c]:
-                return c
-        return -1
+    def reduce(self, entries: Mapping[int, int]) -> tuple[dict[int, int], int]:
+        """Eliminate a row against stored rows; return (residual, pivot column).
 
-    def reduce(self, v: list[int]) -> tuple[list[int], int]:
-        """Eliminate v against stored rows; return (residual, leading column).
-
-        The leading column is -1 when v reduces to zero, i.e. lies in the
-        span of the rows added so far.
+        The pivot column is -1 when the row reduces to zero, i.e. lies in
+        the span of the rows added so far.
         """
-        v = list(v)
-        while True:
-            c = self._lead(v)
-            if c < 0 or c not in self.rows:
-                return v, c
-            row = self.rows[c]
-            a, b = row[c], v[c]
-            v = [x * a - y * b for x, y in zip(v, row)]
+        rows, lead = self.rows, self._lead
+        w = {k: x for k, x in entries.items() if x}
+        while w:
+            c = lead(w)
+            row = rows.get(c)
+            if row is None:
+                return w, c
+            w = _eliminate(w, row, c)
+        return w, -1
 
-    def add(self, v: list[int]) -> bool:
-        """Insert v if independent of the current rows; report whether rank grew."""
-        residual, c = self.reduce(v)
+    def add(self, entries: Mapping[int, int]) -> bool:
+        """Insert a row if independent of the current rows; report whether rank grew."""
+        residual, c = self.reduce(entries)
         if c < 0:
             return False
-        g = 0
-        for x in residual:
-            if x:
-                g = gcd(g, abs(x))
-        if residual[c] < 0:
-            g = -g
-        self.rows[c] = [x // g for x in residual]
+        self.rows[c] = _normalized(residual, c)
         return True
 
-    def contains(self, v: list[int]) -> bool:
-        residual, c = self.reduce(v)
-        return c < 0
+    def contains(self, entries: Mapping[int, int]) -> bool:
+        return self.reduce(entries)[1] < 0
 
     @property
     def rank(self) -> int:
@@ -313,14 +330,14 @@ def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "low",
     if not vecs:
         return 0
     dim = _common_dim(vecs)
-    rows = [_integer_entries(v) for v in vecs]
+    rows = [_integer_entries(v.entries) for v in vecs]
     if modular_prepass:
         mod = ModularEchelon(dim)
         if all(mod.add(r) for r in rows):
             return len(rows)
     ech = IntegerEchelon(dim, pivot_order=pivot_order)
     for r in rows:
-        ech.add(_dense(r, dim))
+        ech.add(r)
     return ech.rank
 
 
@@ -347,7 +364,7 @@ class Subspace:
             ech = IntegerEchelon(self.dim_ambient)
             for g in self.generators:
                 if not g.is_zero:
-                    ech.add(_integer_dense(g))
+                    ech.add(_integer_entries(g.entries))
             self._echelon = ech
         return self._echelon
 
@@ -364,14 +381,14 @@ class Subspace:
             return False
         if v.dim != self.dim_ambient:
             raise ValueError(f"dimension mismatch: {v.dim} != {self.dim_ambient}")
-        return self._ech().contains(_integer_dense(v))
+        return self._ech().contains(_integer_entries(v.entries))
 
     def echelon_vectors(self) -> list[EdgeVector]:
         """The cached reduced rows; they span exactly the generator span."""
         if not self.generators:
             return []
         ech = self._ech()
-        return [EdgeVector.from_dense(ech.rows[c]) for c in sorted(ech.rows)]
+        return [EdgeVector(ech.dim, ech.rows[c]) for c in sorted(ech.rows)]
 
 
 def in_span(v: EdgeVector, s: "Subspace | Iterable[EdgeVector]") -> bool:
@@ -413,45 +430,6 @@ def gram_schmidt(vectors: Sequence[EdgeVector]) -> list[EdgeVector]:
 # annihilators: everything orthogonal to a subspace
 # --------------------------------------------------------------------------
 
-def _rref(rows: list[list[Fraction]], dim: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with lowest-index pivoting; returns pivot columns."""
-    mat = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(dim):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def _integer_scaled(values: list[Fraction]) -> EdgeVector:
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    ints = [int(v * scale) for v in values]
-    g = 0
-    for x in ints:
-        if x:
-            g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return EdgeVector.from_dense(ints)
-
-
 def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
                       ambient_dim: int) -> list[EdgeVector]:
     """Basis of everything orthogonal to the generators, via nullspace elimination.
@@ -464,18 +442,32 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
     for g in gens:
         if g.dim != ambient_dim:
             raise ValueError(f"generator dimension {g.dim} != ambient {ambient_dim}")
-    if not gens:
-        return [EdgeVector.unit(ambient_dim, k) for k in range(ambient_dim)]
-    rows = [[Fraction(x) for x in g.to_dense()] for g in gens]
-    reduced, pivots = _rref(rows, ambient_dim)
-    free = [c for c in range(ambient_dim) if c not in set(pivots)]
+    ech = IntegerEchelon(ambient_dim)
+    for g in gens:
+        ech.add(_integer_entries(g.entries))
+    # Back-substitute to reduced form, highest pivot first: the rows with a
+    # higher pivot are already free of the other pivot columns, so clearing
+    # one of them from row pc brings in none of the rest.
+    rows = ech.rows
+    for pc in sorted(rows, reverse=True):
+        row = rows[pc]
+        for q in [k for k in row if k != pc and k in rows]:
+            row = _eliminate(row, rows[q], q)
+        rows[pc] = _normalized(row, pc)
+    # Free column fc gives 1 at fc and -row[fc]/row[pc] at each pivot pc.
+    holders: dict[int, list[int]] = {}
+    for pc, row in rows.items():
+        for k in row:
+            if k != pc:
+                holders.setdefault(k, []).append(pc)
     basis: list[EdgeVector] = []
-    for fc in free:
-        col = [Fraction(0)] * ambient_dim
-        col[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            col[pc] = -reduced[ri][fc]
-        basis.append(_integer_scaled(col))
+    for fc in range(ambient_dim):
+        if fc in rows:
+            continue
+        col: dict[int, object] = {fc: 1}
+        for pc in holders.get(fc, ()):
+            col[pc] = Fraction(-rows[pc][fc], rows[pc][pc])
+        basis.append(_primitive(ambient_dim, col))
     return basis
 
 
@@ -495,15 +487,14 @@ def annihilator_basis_gram_schmidt(generators: Iterable[EdgeVector],
     ech = IntegerEchelon(ambient_dim)
     independent: list[EdgeVector] = []
     for g in gens:
-        if ech.add(_integer_dense(g)):
+        if ech.add(_integer_entries(g.entries)):
             independent.append(g)
     k = len(independent)
     extended = list(independent)
     for idx in range(ambient_dim):
         if ech.rank == ambient_dim:
             break
-        unit = EdgeVector.unit(ambient_dim, idx)
-        if ech.add(_integer_dense(unit)):
-            extended.append(unit)
+        if ech.add({idx: 1}):
+            extended.append(EdgeVector.unit(ambient_dim, idx))
     orthogonal = gram_schmidt(extended)
-    return [_integer_scaled([Fraction(x) for x in v.to_dense()]) for v in orthogonal[k:]]
+    return [_primitive(ambient_dim, v.entries) for v in orthogonal[k:]]

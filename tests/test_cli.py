@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from htpbasis.basis import UpperTriangularBasis, verify_upper_triangular
 from htpbasis.cli import main
 from htpbasis.timegraph import TimeGraph, all_edges
 
@@ -79,6 +81,25 @@ def test_verify_rejects_short_basis(tmp_path, capsys):
     assert code == 1
     assert "FAIL row count equals n(n-1)(n-2)+1 (expected 121, got 111)" in out
     assert "ok   exact rank equals row count" in out
+
+
+def test_verify_memory_follows_the_file_not_the_header(tmp_path, capsys):
+    # One order-120 tour on two rows: the exact rank has to run (the rows
+    # are dependent), over 1.7 million coordinates of which 121 are nonzero.
+    row = "perm: " + " ".join(map(str, range(1, 121))) + " ; pivot: 0 1 0\n"
+    path = tmp_path / "repeated.txt"
+    path.write_text("n 120\nrows 2\ncertified false\n" + row + row)
+    assert run(capsys, "verify", str(path))[0] == 1
+
+    basis = UpperTriangularBasis.load(path)
+    tracemalloc.start()
+    try:
+        report = verify_upper_triangular(basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.passed
+    assert peak < 5_000_000
 
 
 def test_oracle_output(capsys):
