@@ -28,7 +28,7 @@ print(f"recomputed pivot sequence: {len(pivots)} edges, all distinct:",
 
 # Independence double-checked the expensive way, by exact elimination.
 print("exact rank of the 61 incidence vectors:",
-      rank(basis.vectors(), modular_prepass=False))
+      rank(basis.vectors()))
 
 report = verify_upper_triangular(basis)
 print()

@@ -3,7 +3,8 @@
 Each order reuses the previous basis: new structured rows park the new
 city on day 1, the old rows are lifted by parking it on day n, and the
 remaining rank deficit is filled with tours that park it on an interior
-day, chosen by exact rank probing.  The final ordering is recomputed so
+day, chosen from a fixed structured pool by rank probing modulo a prime
+(no random tours).  The final ordering is recomputed so
 every row again owns a private pivot edge, then the whole thing is
 certified by an independent exact rank computation.
 

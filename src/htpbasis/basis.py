@@ -10,17 +10,19 @@ n >= 5:
 * each later order starts from structured families that park city n on
   day 1, appends the previous basis lifted by parking city n on day n,
   and fills the remaining rank deficit with tours that park city n on an
-  interior day, selected by rank probing modulo a prime (sound in the
-  one direction it is used: independence mod p implies independence
-  over Q);
+  interior day, picked from a fixed structured pool by rank probing
+  modulo a prime (sound in the one direction it is used: independence
+  mod p implies independence over Q);
 * the full set is then reordered greedily so every row regains a private
   pivot edge, and certified by an independent exact rank computation.
+
+No step is random.  The seed that build() takes is recorded in the
+certificate and changes no row.
 """
 
 from __future__ import annotations
 
 import heapq
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -51,8 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 1729
-_MAX_ORDER_ATTEMPTS = 8
-_ENLARGE_BATCH = 200
 
 
 class PivotError(ValueError):
@@ -66,7 +66,11 @@ class PivotError(ValueError):
 
 
 class CompletionError(RuntimeError):
-    """The completion engine could not reach the target rank or ordering."""
+    """The completion engine could not reach the target rank or ordering.
+
+    stage is "candidate search" when the pool's rank mod p falls short of
+    the target, "ordering" when the rows admit no upper-triangular order.
+    """
 
     def __init__(self, achieved: int, target: int, stage: str):
         self.achieved = achieved
@@ -136,10 +140,12 @@ class UpperTriangularBasis:
         if len(lines) < 3:
             raise BasisFormatError("truncated basis file")
         try:
-            n = int(lines[0].split()[1])
-            declared = int(lines[1].split()[1])
-        except (IndexError, ValueError) as exc:
+            (n_key, n_text), (rows_key, rows_text) = lines[0].split(), lines[1].split()
+            n, declared = int(n_text), int(rows_text)
+        except ValueError as exc:
             raise BasisFormatError(f"bad header: {exc}") from exc
+        if (n_key, rows_key) != ("n", "rows"):
+            raise BasisFormatError("header must start with 'n <order>' and 'rows <count>'")
         if n < 3:
             raise BasisFormatError(f"order must be >= 3, got {n}")
         if not lines[2].startswith("certified"):
@@ -383,9 +389,11 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
                    seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Extend a certified partial basis to exactly target independent rows.
 
-    Candidates come from the structured pool first and from seeded random
-    tours if the pool runs dry.  Once the rank reaches the target the whole
-    set is reordered by greedy private-pivot extraction and recertified.
+    Candidates come from the structured pool, probed once in pool order.
+    Once the rank reaches the target the whole set is reordered by greedy
+    private-pivot extraction and recertified.  A rank shortfall or an
+    ordering stall raises CompletionError; there is no retry.  seed is only
+    recorded in the certificate.
     """
     if partial.n != n:
         raise ValueError(f"partial basis has order {partial.n}, expected {n}")
@@ -398,28 +406,15 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
 
     t0 = time.monotonic()
     base_perms = partial.perms()
-    rng = random.Random(seed)
     pool = _completion_pool(n)
-    attempts = 0
-    achieved = len(base_perms)
-    for attempt in range(_MAX_ORDER_ATTEMPTS):
-        attempts = attempt + 1
-        added, achieved = _probe_candidates(n, base_perms, pool, target)
-        if achieved == target:
-            order = _greedy_ut_order(n, base_perms + added)
-            if order is not None:
-                break
-        # Stall or rank shortfall: grow the pool with seeded random tours
-        # and retry with a reshuffled candidate order.
-        fresh = list(range(1, n + 1))
-        for _ in range(_ENLARGE_BATCH):
-            rng.shuffle(fresh)
-            pool.append(tuple(fresh))
-        rng.shuffle(pool)
-    else:
+    added, achieved = _probe_candidates(n, base_perms, pool, target)
+    if achieved < target:
         raise CompletionError(achieved, target, "candidate search")
-
     all_perms = base_perms + added
+    order = _greedy_ut_order(n, all_perms)
+    if order is None:
+        raise CompletionError(achieved, target, "ordering")
+
     ordered = [all_perms[i] for i in order]
     pivots = find_pivot_sequence(n, ordered)
     vectors = [htp_vector(n, p) for p in ordered]
@@ -428,7 +423,7 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
         pivot_check=True, rank=measured, target=target, seed=seed,
         elapsed=time.monotonic() - t0,
         details={"added": len(added), "pool_size": len(pool),
-                 "attempts": attempts, "partial_rows": len(base_perms)},
+                 "partial_rows": len(base_perms)},
     )
     rows = tuple(PivotedHtp(p, piv) for p, piv in zip(ordered, pivots))
     return UpperTriangularBasis(n, rows, cert)
@@ -439,7 +434,8 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
 
     Recursive: families with city n on day 1 first, then the lifted
     previous basis, then completion rows; the completion engine owns the
-    final ordering and certification.
+    final ordering and certification.  seed is recorded in the
+    certificate and changes no row.
     """
     if n < 5:
         raise ValueError(f"basis construction starts at order 5, got {n}")

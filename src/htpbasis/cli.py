@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="graph order (>= 5)")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for the completion engine")
+                   help="recorded in the certificate, changes no row")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report style for the certification summary")
 

@@ -12,11 +12,10 @@ the 'low' echelon to reduced form and reads the nullspace off it;
 orthogonalization runs on Fractions since the rationals have no square
 roots to normalize with.
 
-rank() optionally runs the same sparse elimination modulo a fixed
-word-sized prime first (ModularEchelon).  A rank modulo p never exceeds the
-rank over Q, so when the modular rank equals the row count the exact
-answer is certified without big integers; in every other case the exact
-elimination runs.
+ModularEchelon runs the same sparse elimination modulo a fixed word-sized
+prime.  Only the basis builder's candidate probe uses it, in the sound
+direction: independence mod p implies independence over Q.  rank() is
+always exact.
 """
 
 from __future__ import annotations
@@ -222,10 +221,12 @@ class IntegerEchelon:
 
     Rows are dicts column -> nonzero int, keyed by their pivot column and
     stored divided by their content with a positive pivot entry.
-    pivot_order 'low' takes each residual's lowest column as its pivot (the
-    default everywhere), 'high' its highest (used by the brute-force
-    checker as an implementation hedge).  Rows go in as sparse mappings,
-    such as an EdgeVector's integer entries, and are only read.
+    pivot_order 'low' takes each residual's lowest column as its pivot,
+    'high' its highest.  rank() scans 'high' by default, which is the
+    faster scan on the builder's bases; Subspace, annihilator_basis and the
+    brute-force oracle scan 'low', so the oracle never shares rank()'s
+    elimination order.  Rows go in as sparse mappings, such as an
+    EdgeVector's integer entries, and are only read.
     """
 
     def __init__(self, dim: int, pivot_order: str = "low"):
@@ -318,26 +319,14 @@ class ModularEchelon:
         return len(self.rows)
 
 
-def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "low",
-         modular_prepass: bool = True) -> int:
-    """Exact rank over Q of the given vectors.
-
-    The optional modular pre-pass only ever short-circuits when it already
-    proves the exact answer (full row rank modulo p forces full row rank
-    over Q); it never changes the returned value.
-    """
+def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "high") -> int:
+    """Exact rank over Q of the given vectors."""
     vecs = [v for v in vectors if not v.is_zero]
     if not vecs:
         return 0
-    dim = _common_dim(vecs)
-    rows = [_integer_entries(v.entries) for v in vecs]
-    if modular_prepass:
-        mod = ModularEchelon(dim)
-        if all(mod.add(r) for r in rows):
-            return len(rows)
-    ech = IntegerEchelon(dim, pivot_order=pivot_order)
-    for r in rows:
-        ech.add(r)
+    ech = IntegerEchelon(_common_dim(vecs), pivot_order=pivot_order)
+    for v in vecs:
+        ech.add(_integer_entries(v.entries))
     return ech.rank
 
 

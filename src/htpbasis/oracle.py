@@ -1,10 +1,10 @@
 """Brute-force ground truth at desk scale.
 
 Enumerates tours outright and measures the exact dimension of their span,
-independent of the basis builder: rank here always runs the pure exact
-elimination with the opposite pivot scan, so a builder bug cannot hide
-behind a mirrored code path.  Enumeration is capped (n! tours) unless the
-caller raises the cap explicitly.
+independent of the basis builder: rank here scans pivots from the lowest
+column, opposite to the 'high' scan that certifies the builder's bases, so
+a builder bug cannot hide behind a mirrored code path.  Enumeration is
+capped (n! tours) unless the caller raises the cap explicitly.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def full_dimension(n: int, cap: int = DEFAULT_CAP) -> DimensionReport:
     _check_cap(n, cap)
     t0 = time.monotonic()
     vectors = [htp_vector(n, p) for p in permutations(range(1, n + 1))]
-    dim = rank(vectors, pivot_order="high", modular_prepass=False)
+    dim = rank(vectors, pivot_order="low")
     return DimensionReport(n, len(vectors), dim, time.monotonic() - t0,
                            "exhaustive permutation enumeration")
 
@@ -68,7 +68,7 @@ def dimension_of(g: TimeGraph, cap: int = DEFAULT_CAP) -> DimensionReport:
     _check_cap(g.n, cap)
     t0 = time.monotonic()
     vectors = [htp_vector(g.n, p) for p in enumerate_htps(g)]
-    dim = rank(vectors, pivot_order="high", modular_prepass=False)
+    dim = rank(vectors, pivot_order="low")
     return DimensionReport(g.n, len(vectors), dim, time.monotonic() - t0,
                            "pruned layered depth-first enumeration")
 

@@ -42,7 +42,7 @@ def test_criterion_1_base_case_reproduction():
     ok = ok and len(set(perms)) == 61
     pivots = hb.find_pivot_sequence(5, perms)
     ok = ok and len(pivots) == 61
-    measured = hb.rank(basis.vectors(), modular_prepass=False)
+    measured = hb.rank(basis.vectors())
     ok = ok and measured == 61 == hb.dimension_upper_bound(5)
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
@@ -85,7 +85,7 @@ def test_criterion_4_builder_end_to_end(timed_builds):
         good = len(basis) == expected[n]
         good = good and all(sorted(p) == list(range(1, n + 1)) for p in basis.perms())
         good = good and hb.verify_upper_triangular(basis).passed
-        recomputed = hb.rank(basis.vectors(), modular_prepass=False)
+        recomputed = hb.rank(basis.vectors())
         good = good and recomputed == expected[n]
         ok = ok and good
         details.append(f"n={n}:{len(basis)}@{elapsed:.1f}s")

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
+import htpbasis.basis as basis_mod
 from htpbasis.annihilators import annihilator_family, dimension_upper_bound
 from htpbasis.basis import (
     BasisFormatError,
     BuildCertificate,
+    CompletionError,
     PivotError,
     PivotedHtp,
     UpperTriangularBasis,
@@ -38,7 +40,8 @@ def test_base_basis_first_rows(base5):
 
 
 def test_base_basis_rank_without_prepass(base5):
-    assert rank(base5.vectors(), modular_prepass=False) == 61
+    for order in ("low", "high"):
+        assert rank(base5.vectors(), pivot_order=order) == 61
 
 
 def test_base_basis_verifies(base5):
@@ -154,7 +157,8 @@ def test_families_reject_order_five():
 
 # -- completion and build ------------------------------------------------------
 
-def test_complete_basis_fills_the_deficit(base5):
+def _partial_six(base5):
+    """Families plus the lifted order-5 basis: the certified order-6 partial."""
     n = 6
     fams = induction_families(n)
     lifted = [lift(q) for q in base5.perms()]
@@ -162,10 +166,14 @@ def test_complete_basis_fills_the_deficit(base5):
     pivots = find_pivot_sequence(n, perms)
     cert = BuildCertificate(pivot_check=True, rank=rank([htp_vector(n, p) for p in perms]),
                             target=len(perms))
-    partial = UpperTriangularBasis(n, tuple(
+    return UpperTriangularBasis(n, tuple(
         PivotedHtp(p, piv) for p, piv in zip(perms, pivots)), cert)
+
+
+def test_complete_basis_fills_the_deficit(base5):
+    partial = _partial_six(base5)
     assert partial.certified
-    full = complete_basis(n, partial, 121)
+    full = complete_basis(6, partial, 121)
     assert len(full) == 121
     assert full.certified
     assert full.certificate.details["added"] == 36
@@ -174,6 +182,24 @@ def test_complete_basis_fills_the_deficit(base5):
 def test_complete_basis_returns_partial_at_target(built_bases):
     b6 = built_bases[6]
     assert complete_basis(6, b6, 121) is b6
+
+
+def test_complete_basis_raises_when_the_pool_falls_short(base5, monkeypatch):
+    pool = basis_mod._completion_pool
+    monkeypatch.setattr(basis_mod, "_completion_pool", lambda n: pool(n)[:5])
+    partial = _partial_six(base5)
+    with pytest.raises(CompletionError) as exc:
+        complete_basis(6, partial, 121)
+    assert exc.value.stage == "candidate search"
+    assert len(partial) < exc.value.achieved < exc.value.target == 121
+
+
+def test_complete_basis_raises_when_no_order_exists(base5, monkeypatch):
+    monkeypatch.setattr(basis_mod, "_greedy_ut_order", lambda n, perms: None)
+    with pytest.raises(CompletionError) as exc:
+        complete_basis(6, _partial_six(base5), 121)
+    assert exc.value.stage == "ordering"
+    assert exc.value.achieved == exc.value.target == 121
 
 
 def test_complete_basis_requires_certified_partial():
@@ -353,6 +379,8 @@ def test_serialization_round_trip(base5, tmp_path):
 def test_from_text_rejects_bad_header():
     with pytest.raises(BasisFormatError):
         UpperTriangularBasis.from_text("rows 2\nn 5\ncertified true\n")
+    with pytest.raises(BasisFormatError):
+        UpperTriangularBasis.from_text("foo 6\nbar 0\ncertified false\n")
 
 
 def test_from_text_rejects_tiny_order():

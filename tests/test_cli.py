@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 
+import htpbasis.basis as basis_mod
 from htpbasis.basis import UpperTriangularBasis, verify_upper_triangular
 from htpbasis.cli import main
-from htpbasis.timegraph import TimeGraph, all_edges
+from htpbasis.timegraph import TimeGraph, all_edges, htp_edges
 
 
 def run(capsys, *argv):
@@ -81,6 +82,59 @@ def test_verify_rejects_short_basis(tmp_path, capsys):
     assert code == 1
     assert "FAIL row count equals n(n-1)(n-2)+1 (expected 121, got 111)" in out
     assert "ok   exact rank equals row count" in out
+
+
+def _moved_pivot(rows, case):
+    """(row k, its new pivot, the detail verify must print) for one fault."""
+    n = 6
+    if case == "edge not in its row":
+        k = 10
+        perm = rows[k].htp
+        return k, (0, perm[1], 0), f"row {k} does not use its declared pivot"
+    if case == "not an edge of K_6^T":
+        return 20, (9, 9, 9), "row 20 does not use its declared pivot"
+    # A later row's pivot that an earlier row also uses: the nearest such
+    # earlier row i then reuses nothing but row j's pivot after it.
+    for j in range(len(rows) - 1, 0, -1):
+        users = [i for i in range(j) if rows[j].pivot in htp_edges(n, rows[i].htp)]
+        if users:
+            i = users[-1]
+            return i, tuple(rows[j].pivot), f"row {j} reuses the pivot of row {i}"
+    raise AssertionError("no earlier row uses a later row's pivot")
+
+
+@pytest.mark.parametrize("case", ["edge not in its row", "not an edge of K_6^T",
+                                  "a later row's pivot"])
+def test_verify_names_a_broken_pivot(built_bases, tmp_path, capsys, case):
+    basis = built_bases[6]
+    k, pivot, detail = _moved_pivot(basis.rows, case)
+    assert pivot != tuple(basis.rows[k].pivot)
+    lines = basis.to_text().splitlines()
+    lines[3 + k] = lines[3 + k].split(";")[0] + "; pivot: " + " ".join(map(str, pivot))
+    path = tmp_path / "b6.txt"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert f"FAIL pivot edges are private to their rows [{detail}]" in out
+    assert "ok   exact rank equals row count" in out
+
+
+def test_verify_rejects_unnamed_header(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_text("foo 6\nbar 0\ncertified false\n")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "invalid basis file" in err
+    assert "n = 6" not in out
+
+
+def test_basis_exits_1_when_completion_falls_short(monkeypatch, capsys):
+    pool = basis_mod._completion_pool
+    monkeypatch.setattr(basis_mod, "_completion_pool", lambda n: pool(n)[:5])
+    code, out, err = run(capsys, "basis", "--n", "6")
+    assert code == 1
+    assert "completion failed during candidate search" in err
+    assert out == ""
 
 
 def test_verify_memory_follows_the_file_not_the_header(tmp_path, capsys):

@@ -137,7 +137,7 @@ def test_rank_empty_is_zero():
 def test_rank_of_base_rows_is_61():
     vs = [htp_vector(5, p) for p, _ in BASE5_ROWS]
     assert rank(vs) == 61
-    assert rank(vs, modular_prepass=False) == 61
+    assert rank(vs, pivot_order="low") == 61
 
 
 def test_rank_ignores_zero_vectors():
@@ -145,7 +145,7 @@ def test_rank_ignores_zero_vectors():
     assert rank([EdgeVector(3), v, 2 * v]) == 1
 
 
-def test_rank_modular_prepass_never_changes_answer():
+def test_rank_pivot_orders_agree():
     rng = random.Random(5)
     for _ in range(60):
         dim = rng.randint(1, 12)
@@ -155,9 +155,7 @@ def test_rank_modular_prepass_never_changes_answer():
             # Force dependence: append a combination of two earlier rows.
             a, b = rng.choice(vs), rng.choice(vs)
             vs.append(a + b)
-        plain = rank(vs, modular_prepass=False)
-        assert rank(vs, modular_prepass=True) == plain
-        assert rank(vs, pivot_order="high", modular_prepass=False) == plain
+        assert rank(vs, pivot_order="high") == rank(vs, pivot_order="low")
 
 
 @pytest.mark.parametrize("rows, expected", [
@@ -168,15 +166,16 @@ def test_rank_modular_prepass_never_changes_answer():
 ])
 def test_rank_prepass_falls_through_when_p_divides(rows, expected):
     vs = [EdgeVector.from_dense(r) for r in rows]
-    # rank() clears each row's denominators before reducing it mod p.
+    # The rank mod p of the denominator-cleared rows falls short; rank()
+    # never reduces mod p, so it still finds the rank over Q.
     mod = ModularEchelon(2)
     cleared = []
     for v in vs:
         scale = lcm(*(Fraction(x).denominator for x in v.entries.values()))
         cleared.append({k: int(x * scale) for k, x in v.entries.items()})
     assert mod.add(cleared[0]) + mod.add(cleared[1]) < 2
-    assert rank(vs, modular_prepass=True) == expected
-    assert rank(vs, modular_prepass=False) == expected
+    assert rank(vs, pivot_order="high") == expected
+    assert rank(vs, pivot_order="low") == expected
 
 
 # Entries at or next to multiples of the prime, some with the prime as
@@ -188,9 +187,9 @@ _near_prime_multiples = st.builds(
 
 @given(st.integers(1, 5).flatmap(lambda dim: st.lists(
     st.lists(_near_prime_multiples, min_size=dim, max_size=dim), min_size=1, max_size=6)))
-def test_rank_prepass_agrees_on_rows_near_prime_multiples(rows):
+def test_rank_pivot_orders_agree_on_rows_near_prime_multiples(rows):
     vs = [EdgeVector.from_dense(r) for r in rows]
-    assert rank(vs, modular_prepass=True) == rank(vs, modular_prepass=False)
+    assert rank(vs, pivot_order="high") == rank(vs, pivot_order="low")
 
 
 def test_modular_echelon_takes_sparse_rows_below_exact_rank():
@@ -216,7 +215,7 @@ def test_modular_echelon_takes_sparse_rows_below_exact_rank():
     vs = [htp_vector(n, p) for p in perms]
     for v in vs:
         mod.add(v.entries)
-    assert mod.rank == rank(vs, modular_prepass=False)
+    assert mod.rank == rank(vs)
 
 
 def test_rank_matches_gram_schmidt_of_independent_subset():

@@ -9,7 +9,7 @@ from htpbasis.oracle import (
     full_dimension,
     is_hamiltonian,
 )
-from htpbasis.timegraph import TimeGraph, all_edges
+from htpbasis.timegraph import TimeGraph, all_edges, htp_vector
 
 
 def test_full_dimension_n4_measured_value():
@@ -87,8 +87,28 @@ def test_oracle_builder_and_formula_agree(n, built_bases):
     from htpbasis.linalg import rank
 
     via_oracle = dimension_of(TimeGraph.complete(n)).dimension
-    via_builder = rank(built_bases[n].vectors(), modular_prepass=False)
+    via_builder = rank(built_bases[n].vectors())
     assert via_oracle == via_builder == dimension_upper_bound(n)
+
+
+def test_oracle_and_rank_scan_opposite_ends(monkeypatch):
+    from htpbasis.linalg import IntegerEchelon, rank
+
+    orders = []
+    init = IntegerEchelon.__init__
+
+    def spy(self, dim, pivot_order="low"):
+        orders.append(pivot_order)
+        init(self, dim, pivot_order)
+
+    monkeypatch.setattr(IntegerEchelon, "__init__", spy)
+    full_dimension(5)
+    oracle_orders = set(orders)
+    orders.clear()
+    rank([htp_vector(5, (1, 2, 3, 4, 5))])
+    rank_orders = set(orders)
+    assert len(oracle_orders) == len(rank_orders) == 1
+    assert oracle_orders != rank_orders
 
 
 def test_dimension_report_bound_guard():
