@@ -25,14 +25,15 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .annihilators import dimension_upper_bound
 from .base5 import BASE5_ROWS
 from .linalg import EdgeVector, ModularEchelon
 from .report import Report
-from .timegraph import Edge, edge_count, edge_index, htp_edges, htp_vector
+from .timegraph import (Edge, _check_htp, _is_permutation, _tour_columns, edge_count,
+                        edge_from_index, edge_index, htp_vector)
 
 __all__ = [
     "BasisFormatError",
@@ -158,7 +159,7 @@ class UpperTriangularBasis:
                 i, j, t = (int(x) for x in pivot_part.split(":")[1].split())
             except (IndexError, ValueError) as exc:
                 raise BasisFormatError(f"line {lineno}: unparsable row {line!r}") from exc
-            if sorted(perm) != list(range(1, n + 1)):
+            if not _is_permutation(n, perm):
                 raise BasisFormatError(
                     f"line {lineno}: not a permutation of 1..{n}: {perm}")
             rows.append(PivotedHtp(perm, Edge(i, j, t)))
@@ -181,6 +182,21 @@ class UpperTriangularBasis:
 # pivots
 # --------------------------------------------------------------------------
 
+def _backward_sweep(n: int, perms: Sequence[Sequence[int]]) -> Iterator[tuple]:
+    """Yield (row index, its columns, later) for each row, the last row first.
+
+    later maps each column used after the row to the lowest later row that
+    uses it.  The mapping is shared and updated once the caller moves on,
+    so the whole sweep is linear in the edges listed.
+    """
+    later: dict[int, int] = {}
+    for idx in range(len(perms) - 1, -1, -1):
+        cols = _tour_columns(n, _check_htp(n, perms[idx]))
+        yield idx, cols, later
+        for c in cols:
+            later[c] = idx
+
+
 def find_pivot_sequence(n: int, perms: Sequence[tuple[int, ...]]) -> list[Edge]:
     """Per row, the lowest-indexed edge used by it and by no later row.
 
@@ -188,38 +204,36 @@ def find_pivot_sequence(n: int, perms: Sequence[tuple[int, ...]]) -> list[Edge]:
     order; the resulting pivots are automatically pairwise distinct.
     Raises PivotError naming the first row without an admissible edge.
     """
-    edge_sets = [set(htp_edges(n, p)) for p in perms]
-    seen_after: set[Edge] = set()
     pivots: list[Edge | None] = [None] * len(perms)
     first_bad: int | None = None
-    for idx in range(len(perms) - 1, -1, -1):
-        admissible = edge_sets[idx] - seen_after
-        if admissible:
-            pivots[idx] = min(admissible, key=lambda e: edge_index(n, e))
+    for idx, cols, later in _backward_sweep(n, perms):
+        free = [c for c in cols if c not in later]
+        if free:
+            pivots[idx] = edge_from_index(n, min(free))
         else:
             first_bad = idx
-        seen_after |= edge_sets[idx]
     if first_bad is not None:
         raise PivotError(first_bad, tuple(perms[first_bad]))
     return pivots  # type: ignore[return-value]
 
 
-def _pivot_from_day(n: int, perm: tuple[int, ...], day: int) -> Edge:
-    if day == n:
-        return Edge(perm[n - 1], 0, n)
-    return Edge(perm[day - 1], perm[day], day)
-
-
 def _pivot_violation(n: int, rows: Sequence[PivotedHtp]) -> tuple[int, int] | None:
-    """First (i, j) with i < j where row j uses row i's pivot, else None."""
-    edge_sets = [set(htp_edges(n, r.htp)) for r in rows]
-    for i, r in enumerate(rows):
-        if r.pivot not in edge_sets[i]:
-            return (i, i)
-        for j in range(i + 1, len(rows)):
-            if r.pivot in edge_sets[j]:
-                return (i, j)
-    return None
+    """First (i, j) with i < j where row j uses row i's pivot, else None.
+
+    (i, i) means row i does not use its own pivot, which covers a pivot
+    that is no edge of the order-n time graph at all.
+    """
+    found = None
+    for idx, cols, later in _backward_sweep(n, [r.htp for r in rows]):
+        try:
+            pivot = edge_index(n, rows[idx].pivot)
+        except ValueError:
+            pivot = None
+        if pivot not in cols:
+            found = (idx, idx)
+        elif pivot in later:
+            found = (idx, later[pivot])
+    return found
 
 
 # --------------------------------------------------------------------------
@@ -233,9 +247,10 @@ def base_basis_5() -> UpperTriangularBasis:
     if len(perms) != 61 or len(set(perms)) != len(perms):
         raise ValueError("embedded base data corrupt: rows not 61 distinct tours")
     for p in perms:
-        if sorted(p) != [1, 2, 3, 4, 5]:
+        if not _is_permutation(n, p):
             raise ValueError(f"embedded base data corrupt: non-permutation {p}")
-    pivots = [_pivot_from_day(n, p, day) for p, day in BASE5_ROWS]
+    # Column t of a tour is its edge leaving day t.
+    pivots = [edge_from_index(n, _tour_columns(n, p)[day]) for p, day in BASE5_ROWS]
     rows = tuple(PivotedHtp(p, piv) for p, piv in zip(perms, pivots))
     if _pivot_violation(n, rows) is not None:
         # Embedded pivot days should never go stale; recompute rather than trust.
@@ -253,11 +268,7 @@ def base_basis_5() -> UpperTriangularBasis:
 
 def lift(q: Sequence[int]) -> tuple[int, ...]:
     """Embed an order n-1 tour into order n by visiting city n on day n."""
-    n = len(q) + 1
-    qt = tuple(q)
-    if sorted(qt) != list(range(1, n)):
-        raise ValueError(f"not a permutation of 1..{n - 1}: {qt}")
-    return qt + (n,)
+    return _check_htp(len(q), q) + (len(q) + 1,)
 
 
 def lift_pivot(n: int, pivot: Edge) -> Edge:
@@ -334,14 +345,14 @@ def _greedy_ut_order(n: int, perms: Sequence[tuple[int, ...]]) -> list[int] | No
     the sum of its remaining holders' indices: when its count drops to one,
     that sum is the last holder.  Total work is linear in the edges listed.
     """
-    edge_sets = [frozenset(htp_edges(n, p)) for p in perms]
-    count: dict[Edge, int] = {}
-    holders: dict[Edge, int] = {}
-    for ri, es in enumerate(edge_sets):
-        for e in es:
-            count[e] = count.get(e, 0) + 1
-            holders[e] = holders.get(e, 0) + ri
-    ready = [holders[e] for e, k in count.items() if k == 1]
+    columns = [_tour_columns(n, _check_htp(n, p)) for p in perms]
+    count: dict[int, int] = {}
+    holders: dict[int, int] = {}
+    for ri, cols in enumerate(columns):
+        for c in cols:
+            count[c] = count.get(c, 0) + 1
+            holders[c] = holders.get(c, 0) + ri
+    ready = [holders[c] for c, k in count.items() if k == 1]
     heapq.heapify(ready)
     placed = [False] * len(perms)
     order: list[int] = []
@@ -351,11 +362,11 @@ def _greedy_ut_order(n: int, perms: Sequence[tuple[int, ...]]) -> list[int] | No
             continue
         placed[pick] = True
         order.append(pick)
-        for e in edge_sets[pick]:
-            count[e] -= 1
-            holders[e] -= pick
-            if count[e] == 1:
-                heapq.heappush(ready, holders[e])
+        for c in columns[pick]:
+            count[c] -= 1
+            holders[c] -= pick
+            if count[c] == 1:
+                heapq.heappush(ready, holders[c])
     return order if len(order) == len(perms) else None
 
 
@@ -490,8 +501,7 @@ def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
         },
     )
 
-    bad_perm = [i for i, r in enumerate(basis.rows)
-                if sorted(r.htp) != list(range(1, n + 1))]
+    bad_perm = [i for i, r in enumerate(basis.rows) if not _is_permutation(n, r.htp)]
     report.add("rows are valid tours", not bad_perm,
                expected=0, actual=len(bad_perm),
                detail=f"first bad row {bad_perm[0]}" if bad_perm else "")

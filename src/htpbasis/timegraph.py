@@ -13,12 +13,17 @@ off day by day (an "htp" below).  Its incidence vector marks the n+1 edges
 it uses inside the rational coordinate space indexed by the full edge set.
 This module fixes the coordinate order (sources, then internal edges by
 (day, from, to), then finish edges) that every other module relies on.
+
+Inside the package a tour edge is its integer column: _column is the one
+edge -> column formula, and _tour_columns turns a validated city sequence
+into its n+1 columns without building an Edge.  Edge tuples appear only at
+the boundaries: files, reports, TimeGraph and the public functions here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import EdgeVector
 
@@ -57,33 +62,28 @@ def edge_count(n: int) -> int:
     return n * (n - 1) ** 2 + 2 * n
 
 
-def edge_shape(n: int, e: Edge) -> str:
-    """Classify e as 'source', 'internal' or 'destination'; reject anything else."""
-    i, j, t = e
-    if t == 0 and i == 0 and 1 <= j <= n:
-        return "source"
-    if t == n and j == 0 and 1 <= i <= n:
-        return "destination"
-    if 1 <= t <= n - 1 and 1 <= i <= n and 1 <= j <= n and i != j:
-        return "internal"
-    raise ValueError(f"invalid edge {tuple(e)} for order {n}")
+def _column(n: int, i: int, j: int, t: int) -> int:
+    """The column of edge (i, j, t), which the caller has already validated."""
+    if t == 0:
+        return j - 1
+    if t == n:
+        return n + n * (n - 1) * (n - 1) + (i - 1)
+    return n + (t - 1) * n * (n - 1) + (i - 1) * (n - 1) + (j - 1 if j < i else j - 2)
 
 
 def edge_index(n: int, e: Edge) -> int:
-    """Canonical linear index of e in [0, edge_count(n)).
+    """Canonical linear index of e in [0, edge_count(n)); rejects non-edges.
 
     Sources come first ordered by to_city, then internal edges ordered by
     (day, from_city, to_city), then destination edges ordered by from_city.
     """
     _check_order(n)
-    shape = edge_shape(n, e)
     i, j, t = e
-    if shape == "source":
-        return j - 1
-    if shape == "destination":
-        return n + n * (n - 1) * (n - 1) + (i - 1)
-    col = j - 1 if j < i else j - 2
-    return n + (t - 1) * n * (n - 1) + (i - 1) * (n - 1) + col
+    if not (t == 0 and i == 0 and 1 <= j <= n
+            or t == n and j == 0 and 1 <= i <= n
+            or 1 <= t <= n - 1 and 1 <= i <= n and 1 <= j <= n and i != j):
+        raise ValueError(f"invalid edge {tuple(e)} for order {n}")
+    return _column(n, i, j, t)
 
 
 def edge_from_index(n: int, k: int) -> Edge:
@@ -107,15 +107,7 @@ def edge_from_index(n: int, k: int) -> Edge:
 def all_edges(n: int) -> Iterator[Edge]:
     """All edges of the complete time graph, in canonical index order."""
     _check_order(n)
-    for j in range(1, n + 1):
-        yield Edge(0, j, 0)
-    for t in range(1, n):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i != j:
-                    yield Edge(i, j, t)
-    for i in range(1, n + 1):
-        yield Edge(i, 0, n)
+    return (edge_from_index(n, k) for k in range(edge_count(n)))
 
 
 # --------------------------------------------------------------------------
@@ -123,6 +115,7 @@ def all_edges(n: int) -> Iterator[Edge]:
 # --------------------------------------------------------------------------
 
 def _check_sequence(n: int, seq: Iterable[int]) -> tuple[int, ...]:
+    _check_order(n)
     s = tuple(seq)
     if len(s) != n:
         raise ValueError(f"city sequence must have length {n}, got {len(s)}")
@@ -135,64 +128,60 @@ def _check_sequence(n: int, seq: Iterable[int]) -> tuple[int, ...]:
     return s
 
 
+def _is_permutation(n: int, p: Sequence[int]) -> bool:
+    """Whether p is a permutation of 1..n; a short p costs nothing for a huge n."""
+    return len(p) == n and sorted(p) == list(range(1, n + 1))
+
+
 def _check_htp(n: int, perm: Iterable[int]) -> tuple[int, ...]:
+    _check_order(n)
     p = tuple(perm)
-    if sorted(p) != list(range(1, n + 1)):
+    if not _is_permutation(n, p):
         raise ValueError(f"not a permutation of 1..{n}: {p}")
     return p
 
 
+def _tour_columns(n: int, s: Sequence[int]) -> list[int]:
+    """Columns of the n+1 edges, one per day, of the tour that visits s[t-1]
+    on day t; s must already be a valid city sequence."""
+    return [_column(n, 0, s[0], 0),
+            *(_column(n, a, b, t) for t, (a, b) in enumerate(zip(s, s[1:]), start=1)),
+            _column(n, s[-1], 0, n)]
+
+
 def timepath_edges(n: int, seq: Iterable[int]) -> tuple[Edge, ...]:
     """The n+1 edges of the tour that visits seq[t-1] on day t."""
-    _check_order(n)
-    s = _check_sequence(n, seq)
-    path = [Edge(0, s[0], 0)]
-    for t in range(1, n):
-        path.append(Edge(s[t - 1], s[t], t))
-    path.append(Edge(s[-1], 0, n))
-    return tuple(path)
+    return tuple(edge_from_index(n, k) for k in _tour_columns(n, _check_sequence(n, seq)))
 
 
 def htp_edges(n: int, perm: Iterable[int]) -> tuple[Edge, ...]:
     """Edges of the tour for a permutation of 1..n."""
-    p = _check_htp(n, perm)
-    return timepath_edges(n, p)
+    return tuple(edge_from_index(n, k) for k in _tour_columns(n, _check_htp(n, perm)))
 
 
 def timepath_vector(n: int, seq: Iterable[int]) -> EdgeVector:
-    """Incidence vector of a tour; a repeated edge would accumulate its count.
-
-    For simple day-layered tours every day index occurs once, so entries are
-    always 0 or 1 in practice.
-    """
-    entries: dict[int, int] = {}
-    for e in timepath_edges(n, seq):
-        k = edge_index(n, e)
-        entries[k] = entries.get(k, 0) + 1
-    return EdgeVector(edge_count(n), entries)
+    """0/1 incidence vector of the tour that visits seq[t-1] on day t; a city
+    may recur, though not on consecutive days."""
+    return EdgeVector(edge_count(n), dict.fromkeys(_tour_columns(n, _check_sequence(n, seq)), 1))
 
 
 def htp_vector(n: int, perm: Iterable[int]) -> EdgeVector:
     """0/1 incidence vector of the tour of a permutation of 1..n."""
-    p = _check_htp(n, perm)
-    return timepath_vector(n, p)
+    return EdgeVector(edge_count(n), dict.fromkeys(_tour_columns(n, _check_htp(n, perm)), 1))
 
 
 def partial_path_vector(n: int, i: int, t: int) -> EdgeVector:
     """Incidence vector of a fixed start-to-(i, t) path with exactly t edges.
 
     The path steps +1 mod n through the cities, so the day-s city is
-    ((i - t + s - 1) mod n) + 1; it ends at city i on day t.
+    ((i - t + s - 1) mod n) + 1; it ends at city i on day t.  Its edges are
+    the first t edges of the cyclic tour that continues the same way.
     """
     _check_order(n)
     if not (1 <= i <= n and 1 <= t <= n):
         raise ValueError(f"city/day ({i}, {t}) out of range [1, {n}]^2")
-    cities = [((i - t + s - 1) % n) + 1 for s in range(1, t + 1)]
-    edges = [Edge(0, cities[0], 0)]
-    for s in range(1, t):
-        edges.append(Edge(cities[s - 1], cities[s], s))
-    entries = {edge_index(n, e): 1 for e in edges}
-    return EdgeVector(edge_count(n), entries)
+    cycle = [((i - t + s - 1) % n) + 1 for s in range(1, n + 1)]
+    return EdgeVector(edge_count(n), dict.fromkeys(_tour_columns(n, cycle)[:t], 1))
 
 
 # --------------------------------------------------------------------------
@@ -210,7 +199,7 @@ class TimeGraph:
         _check_order(self.n)
         normalized = frozenset(Edge(*e) for e in self.edges)
         for e in normalized:
-            edge_shape(self.n, e)
+            edge_index(self.n, e)
         object.__setattr__(self, "edges", normalized)
 
     @classmethod

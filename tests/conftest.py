@@ -3,7 +3,7 @@ import random
 import pytest
 
 import htpbasis as hb
-from htpbasis.timegraph import TimeGraph, all_edges
+from htpbasis.timegraph import TimeGraph, all_edges, htp_edges
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,28 @@ def subgraph_factory():
         p = rng.uniform(0.2, 0.95) if keep is None else keep
         return TimeGraph(n, frozenset(e for e in all_edges(n) if rng.random() < p))
     return make
+
+
+def _moved_pivot(rows, case):
+    """(row k, its new pivot, the detail verify must print) for one fault in an order-6 basis."""
+    n = 6
+    if case == "edge not in its row":
+        k = 10
+        perm = rows[k].htp
+        return k, (0, perm[1], 0), f"row {k} does not use its declared pivot"
+    if case == "not an edge of K_6^T":
+        return 20, (9, 9, 9), "row 20 does not use its declared pivot"
+    # A later row's pivot that an earlier row also uses: the nearest such
+    # earlier row i then reuses nothing but row j's pivot after it.
+    for j in range(len(rows) - 1, 0, -1):
+        users = [i for i in range(j) if rows[j].pivot in htp_edges(n, rows[i].htp)]
+        if users:
+            i = users[-1]
+            return i, tuple(rows[j].pivot), f"row {j} reuses the pivot of row {i}"
+    raise AssertionError("no earlier row uses a later row's pivot")
+
+
+@pytest.fixture()
+def moved_pivot():
+    """The pivot faults that verify must name, shared by the CLI and pivot tests."""
+    return _moved_pivot

@@ -13,6 +13,7 @@ from htpbasis.basis import (
     PivotedHtp,
     UpperTriangularBasis,
     _greedy_ut_order,
+    _pivot_violation,
     build,
     complete_basis,
     find_pivot_sequence,
@@ -22,7 +23,7 @@ from htpbasis.basis import (
     verify_upper_triangular,
 )
 from htpbasis.linalg import inner_product, rank
-from htpbasis.timegraph import Edge, htp_edges, htp_vector
+from htpbasis.timegraph import Edge, all_edges, edge_index, htp_edges, htp_vector
 
 
 # -- base case ---------------------------------------------------------------
@@ -332,17 +333,110 @@ def test_greedy_order_stalls_on_repeated_tour():
     assert _greedy_ut_order(6, perms[:2]) == _greedy_ut_order_by_rescan(6, perms[:2]) == [0, 1]
 
 
+# -- pivot sweep -------------------------------------------------------------------
+
+def _find_pivot_sequence_by_set_difference(n, perms):
+    """Reference: a backward sweep over Edge sets, one set difference per row."""
+    edge_sets = [set(htp_edges(n, p)) for p in perms]
+    seen_after = set()
+    pivots = [None] * len(perms)
+    first_bad = None
+    for idx in range(len(perms) - 1, -1, -1):
+        admissible = edge_sets[idx] - seen_after
+        if admissible:
+            pivots[idx] = min(admissible, key=lambda e: edge_index(n, e))
+        else:
+            first_bad = idx
+        seen_after |= edge_sets[idx]
+    if first_bad is not None:
+        raise PivotError(first_bad, tuple(perms[first_bad]))
+    return pivots
+
+
+def _pivot_violation_by_rescan(n, rows):
+    """Reference: rescan every later row for each row's pivot (quadratic)."""
+    edge_sets = [set(htp_edges(n, r.htp)) for r in rows]
+    for i, r in enumerate(rows):
+        if r.pivot not in edge_sets[i]:
+            return (i, i)
+        for j in range(i + 1, len(rows)):
+            if r.pivot in edge_sets[j]:
+                return (i, j)
+    return None
+
+
+def _pivot_sequence_outcome(find, n, perms):
+    try:
+        return find(n, perms)
+    except PivotError as err:
+        return ("PivotError", err.row_index, err.perm)
+
+
+def _with_pivot(rows, k, pivot):
+    return rows[:k] + [PivotedHtp(rows[k].htp, Edge(*pivot))] + rows[k + 1:]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_pivot_sweep_matches_references(built_bases, moved_pivot, n):
+    rng = random.Random(200 + n)
+    rows = list(built_bases[n].rows)
+    cases = [rows]
+    for _ in range(3):
+        shuffled = rows[:]
+        rng.shuffle(shuffled)
+        cases.append(shuffled)
+    for _ in range(20):
+        picks = sorted(rng.sample(range(len(rows)), rng.randint(1, len(rows))))
+        cases.append([rows[i] for i in picks])
+    if n == 6:
+        for case in ("edge not in its row", "not an edge of K_6^T", "a later row's pivot"):
+            k, pivot, _ = moved_pivot(rows, case)
+            cases.append(_with_pivot(rows, k, pivot))
+    # A pivot moved to a valid edge that no row of a short prefix uses.
+    prefix = rows[:8]
+    used = {e for r in prefix for e in htp_edges(n, r.htp)}
+    unused = next(e for e in all_edges(n) if e not in used)
+    cases.append(_with_pivot(prefix, 3, unused))
+
+    violations, failures = set(), set()
+    for case in cases:
+        got = _pivot_violation(n, case)
+        assert got == _pivot_violation_by_rescan(n, case)
+        violations.add(got if got is None else got[0] == got[1])
+        perms = [r.htp for r in case]
+        got = _pivot_sequence_outcome(find_pivot_sequence, n, perms)
+        assert got == _pivot_sequence_outcome(_find_pivot_sequence_by_set_difference, n, perms)
+        failures.add(got[0] == "PivotError")
+    # Intact rows, a row that misses its own pivot, a later row reusing one.
+    assert violations == {None, True, False}
+    assert failures == {False, True}
+
+
 # -- verification negatives ------------------------------------------------------
 
 def test_verify_detects_duplicate_row(base5):
     rows = list(base5.rows)
     rows[-1] = rows[0]
-    tampered = UpperTriangularBasis(5, tuple(rows))
+    # The intact basis's certificate claims rank 61; the tampered rows have 60.
+    tampered = UpperTriangularBasis(5, tuple(rows), base5.certificate)
     report = verify_upper_triangular(tampered)
     assert not report.passed
     failed = {c.label for c in report.checks if not c.passed}
-    assert "rows are distinct" in failed
-    assert "pivot edges are private to their rows" in failed
+    assert failed == {"rows are distinct", "pivot edges are private to their rows",
+                      "exact rank equals row count", "certificate consistent with recheck"}
+
+
+def test_verify_detects_rows_that_are_not_tours(base5):
+    rows = list(base5.rows)
+    rows[7] = PivotedHtp((1, 1, 2, 3, 4), rows[7].pivot)
+    rows[9] = PivotedHtp((1, 2, 3, 4), rows[9].pivot)
+    report = verify_upper_triangular(UpperTriangularBasis(5, tuple(rows)))
+    assert not report.passed
+    check = report.checks[0]
+    assert (check.label, check.passed, check.actual) == ("rows are valid tours", False, 2)
+    assert check.detail == "first bad row 7"
+    # The pivot and rank checks need tours, so the report stops here.
+    assert [c.label for c in report.checks] == ["rows are valid tours", "rows are distinct"]
 
 
 def test_verify_detects_reversed_order(base5):

@@ -4,9 +4,9 @@ import tracemalloc
 import pytest
 
 import htpbasis.basis as basis_mod
-from htpbasis.basis import UpperTriangularBasis, verify_upper_triangular
+from htpbasis.basis import BasisFormatError, UpperTriangularBasis, verify_upper_triangular
 from htpbasis.cli import main
-from htpbasis.timegraph import TimeGraph, all_edges, htp_edges
+from htpbasis.timegraph import TimeGraph, all_edges
 
 
 def run(capsys, *argv):
@@ -84,30 +84,11 @@ def test_verify_rejects_short_basis(tmp_path, capsys):
     assert "ok   exact rank equals row count" in out
 
 
-def _moved_pivot(rows, case):
-    """(row k, its new pivot, the detail verify must print) for one fault."""
-    n = 6
-    if case == "edge not in its row":
-        k = 10
-        perm = rows[k].htp
-        return k, (0, perm[1], 0), f"row {k} does not use its declared pivot"
-    if case == "not an edge of K_6^T":
-        return 20, (9, 9, 9), "row 20 does not use its declared pivot"
-    # A later row's pivot that an earlier row also uses: the nearest such
-    # earlier row i then reuses nothing but row j's pivot after it.
-    for j in range(len(rows) - 1, 0, -1):
-        users = [i for i in range(j) if rows[j].pivot in htp_edges(n, rows[i].htp)]
-        if users:
-            i = users[-1]
-            return i, tuple(rows[j].pivot), f"row {j} reuses the pivot of row {i}"
-    raise AssertionError("no earlier row uses a later row's pivot")
-
-
 @pytest.mark.parametrize("case", ["edge not in its row", "not an edge of K_6^T",
                                   "a later row's pivot"])
-def test_verify_names_a_broken_pivot(built_bases, tmp_path, capsys, case):
+def test_verify_names_a_broken_pivot(built_bases, moved_pivot, tmp_path, capsys, case):
     basis = built_bases[6]
-    k, pivot, detail = _moved_pivot(basis.rows, case)
+    k, pivot, detail = moved_pivot(basis.rows, case)
     assert pivot != tuple(basis.rows[k].pivot)
     lines = basis.to_text().splitlines()
     lines[3 + k] = lines[3 + k].split(";")[0] + "; pivot: " + " ".join(map(str, pivot))
@@ -154,6 +135,21 @@ def test_verify_memory_follows_the_file_not_the_header(tmp_path, capsys):
         tracemalloc.stop()
     assert not report.passed
     assert peak < 5_000_000
+
+    # A one-city row under a huge order: the row is rejected on its
+    # length, before anything of size n is built.
+    path = tmp_path / "hostile.txt"
+    path.write_text("n 3000000\nrows 1\ncertified false\nperm: 1 ; pivot: 0 1 0\n")
+    assert run(capsys, "verify", str(path))[0] == 1
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(BasisFormatError, match="not a permutation"):
+            UpperTriangularBasis.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_oracle_output(capsys):

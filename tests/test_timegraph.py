@@ -15,8 +15,38 @@ from htpbasis.timegraph import (
     htp_edges,
     htp_vector,
     partial_path_vector,
+    timepath_edges,
     timepath_vector,
 )
+
+
+def _tour_edges(n, seq):
+    """The edges of the tour that visits seq[t-1] on day t, built from the definition."""
+    return ([Edge(0, seq[0], 0)] + [Edge(seq[t - 1], seq[t], t) for t in range(1, n)]
+            + [Edge(seq[-1], 0, n)])
+
+
+def _path_into(n, i, t):
+    """The t-edge path that steps +1 mod n and ends at city i on day t, built backwards."""
+    cities = [i]
+    while len(cities) < t:
+        cities.insert(0, (cities[0] - 2) % n + 1)
+    return [Edge(0, cities[0], 0)] + [Edge(cities[s - 1], cities[s], s) for s in range(1, t)]
+
+
+def _walk(n, first, steps):
+    """The city sequence that starts at first and moves on by each step in 1..n-1."""
+    seq = [first]
+    for d in steps:
+        seq.append((seq[-1] - 1 + d) % n + 1)
+    return tuple(seq)
+
+
+# Tours of orders 3..12: permutations, and walks that may revisit a city.
+_tours = st.integers(min_value=3, max_value=12).flatmap(lambda n: st.one_of(
+    st.permutations(list(range(1, n + 1))).map(tuple),
+    st.tuples(st.integers(1, n), st.lists(st.integers(1, n - 1), min_size=n - 1,
+                                          max_size=n - 1)).map(lambda fs: _walk(n, *fs))))
 
 
 @pytest.mark.parametrize("n,count", [(3, 18), (5, 90), (6, 162), (9, 594)])
@@ -119,7 +149,21 @@ def test_timepath_vector_rejects_consecutive_repeat():
 
 @pytest.mark.parametrize("seq", [(1, 2, 1, 3, 4), (2, 1, 2, 3, 4), (5, 4, 5, 4, 5)])
 def test_timepath_vector_weight(seq):
-    assert len(timepath_vector(5, seq).support()) == 6
+    v = timepath_vector(5, seq)
+    assert len(v.support()) == 6
+    assert v.entries == {edge_index(5, e): 1 for e in _tour_edges(5, seq)}
+
+
+@given(_tours)
+def test_tour_columns_match_their_definition(seq):
+    n = len(seq)
+    edges = _tour_edges(n, seq)
+    v = timepath_vector(n, seq)
+    assert v.entries == {edge_index(n, e): 1 for e in edges}
+    assert timepath_edges(n, seq) == tuple(edges)
+    if len(set(seq)) == n:
+        assert htp_vector(n, seq) == v
+        assert htp_edges(n, seq) == tuple(edges)
 
 
 def test_partial_path_single_day():
@@ -133,7 +177,7 @@ def test_partial_path_example():
     assert set(v.support()) == {edge_index(5, e) for e in expected}
 
 
-@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("n", range(3, 13))
 def test_partial_path_properties(n):
     for i in range(1, n + 1):
         for t in range(1, n + 1):
@@ -142,6 +186,7 @@ def test_partial_path_properties(n):
             assert len(edges) == t
             last = max(edges, key=lambda e: e.day)
             assert last.to_city == i and last.day == t - 1
+            assert v.entries == {edge_index(n, e): 1 for e in _path_into(n, i, t)}
 
 
 def test_partial_path_range_errors():
