@@ -2,11 +2,11 @@
 
 Each order reuses the previous basis: new structured rows park the new
 city on day 1, the old rows are lifted by parking it on day n, and the
-remaining rank deficit is filled with tours that park it on an interior
-day, chosen from a fixed structured pool by rank probing modulo a prime
-(no random tours).  The final ordering is recomputed so
-every row again owns a private pivot edge, then the whole thing is
-certified by an independent exact rank computation.
+remaining rank deficit is filled with explicit completion rows that park
+it on an interior day between fixed neighbours: (n-2)(2n-3) tours, exactly
+the deficit (n-1)(2n-5)+1, with no search and no random tours.  The final
+ordering is recomputed so every row again owns a private pivot edge, then
+the whole thing is certified by an independent exact rank computation.
 
 Pass a maximum order as the first argument (default 8, try 9).
 """
@@ -35,4 +35,4 @@ report = verify_upper_triangular(basis)
 print(f"independent recheck of the order-{max_n} basis:",
       "PASS" if report.passed else "FAIL")
 print("wall time grows roughly with n^5: each level reuses the previous")
-print("basis and adds O(n^2) structured rows plus O(n^2) probed rows.")
+print("basis and adds O(n^2) family rows plus O(n^2) completion rows.")

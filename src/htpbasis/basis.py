@@ -9,9 +9,10 @@ n >= 5:
 * order 5 is the embedded 61-row table (base5.py);
 * each later order starts from structured families that park city n on
   day 1, appends the previous basis lifted by parking city n on day n,
-  and fills the remaining rank deficit with tours that park city n on an
-  interior day, picked from a fixed structured pool by rank probing
-  modulo a prime (sound in the one direction it is used: independence
+  and fills the remaining rank deficit with explicit completion rows
+  that park city n on an interior day between fixed neighbours, one row
+  per unit of the deficit (a check modulo a prime confirms that each row
+  raises the rank, sound in the one direction it is used: independence
   mod p implies independence over Q);
 * the full set is then reordered greedily so every row regains a private
   pivot edge, and certified by an independent exact rank computation.
@@ -69,8 +70,9 @@ class PivotError(ValueError):
 class CompletionError(RuntimeError):
     """The completion engine could not reach the target rank or ordering.
 
-    stage is "candidate search" when the pool's rank mod p falls short of
-    the target, "ordering" when the rows admit no upper-triangular order.
+    stage is "candidate search" when the completion rows leave the rank
+    mod p short of the target, "ordering" when the rows admit no
+    upper-triangular order.
     """
 
     def __init__(self, achieved: int, target: int, stage: str):
@@ -252,10 +254,10 @@ def base_basis_5() -> UpperTriangularBasis:
     # Column t of a tour is its edge leaving day t.
     pivots = [edge_from_index(n, _tour_columns(n, p)[day]) for p, day in BASE5_ROWS]
     rows = tuple(PivotedHtp(p, piv) for p, piv in zip(perms, pivots))
-    if _pivot_violation(n, rows) is not None:
-        # Embedded pivot days should never go stale; recompute rather than trust.
-        pivots = find_pivot_sequence(n, perms)
-        rows = tuple(PivotedHtp(p, piv) for p, piv in zip(perms, pivots))
+    violation = _pivot_violation(n, rows)
+    if violation is not None:
+        raise ValueError(f"embedded base data corrupt: pivot of row {violation[0]} "
+                         f"is not private (row {violation[1]})")
     measured = linalg.rank([htp_vector(n, p) for p in perms])
     cert = BuildCertificate(pivot_check=True, rank=measured, target=61,
                             details={"source": "embedded order-5 table"})
@@ -318,19 +320,19 @@ def induction_families(n: int) -> list[tuple[int, ...]]:
 
 
 def _completion_pool(n: int) -> list[tuple[int, ...]]:
-    """Structured candidates placing city n on each interior day.
+    """The completion rows: city n on an interior day between fixed neighbours.
 
-    For every interior day t and every ordered neighbor pair (a, b) the
-    pool holds the tour with a, n, b on days t-1, t, t+1 and the rest
-    ascending.
+    For each interior day t = 2..n-1, in order, and each neighbour pair
+    (a, b) with a = 1, or b = 1, or (a, b) = (2, 3), by a then b, the row
+    has a, n, b on days t-1, t, t+1 and the other cities ascending.  That
+    is 2n-3 pairs per day and (n-2)(2n-3) = (n-1)(2n-5)+1 rows, exactly
+    the deficit n(n-1)(n-2)+1 - ((n-1)^2-1) - ((n-1)(n-2)(n-3)+1) that
+    the families and the lifted basis leave.  No row parks city n on
+    day 1 or day n, so none repeats a family or a lifted row.
     """
-    pool: list[tuple[int, ...]] = []
-    for t in range(2, n):
-        for a in range(1, n):
-            for b in range(1, n):
-                if a != b:
-                    pool.append(_spaced_perm(n, {t: n, t - 1: a, t + 1: b}))
-    return pool
+    return [_spaced_perm(n, {t - 1: a, t: n, t + 1: b})
+            for t in range(2, n) for a in range(1, n) for b in range(1, n)
+            if a != b and (1 in (a, b) or (a, b) == (2, 3))]
 
 
 def _greedy_ut_order(n: int, perms: Sequence[tuple[int, ...]]) -> list[int] | None:
@@ -373,26 +375,17 @@ def _greedy_ut_order(n: int, perms: Sequence[tuple[int, ...]]) -> list[int] | No
 def _probe_candidates(n: int, base_perms: Sequence[tuple[int, ...]],
                       pool: Iterable[tuple[int, ...]],
                       target: int) -> tuple[list[tuple[int, ...]], int]:
-    """Greedily add pool tours that raise the rank mod p until target.
+    """The pool tours that raise the rank mod p after the base rows, and that rank.
 
     Independence mod p implies independence over Q, so every tour kept is
     independent of the others over Q; a tour independent only over Q is
-    skipped.  The returned rank is a lower bound on the rank over Q.
+    dropped.  The returned rank is a lower bound on the rank over Q.
     """
     ech = ModularEchelon(edge_count(n))
     for p in base_perms:
         if not ech.add(htp_vector(n, p).entries):
             raise CompletionError(ech.rank, target, "seeding (partial rows dependent mod p)")
-    seen = set(base_perms)
-    added: list[tuple[int, ...]] = []
-    for cand in pool:
-        if ech.rank >= target:
-            break
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if ech.add(htp_vector(n, cand).entries):
-            added.append(cand)
+    added = [cand for cand in pool if ech.add(htp_vector(n, cand).entries)]
     return added, ech.rank
 
 
@@ -400,11 +393,11 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
                    seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Extend a certified partial basis to exactly target independent rows.
 
-    Candidates come from the structured pool, probed once in pool order.
-    Once the rank reaches the target the whole set is reordered by greedy
-    private-pivot extraction and recertified.  A rank shortfall or an
-    ordering stall raises CompletionError; there is no retry.  seed is only
-    recorded in the certificate.
+    The completion rows are appended, each checked mod p to raise the rank;
+    the whole set is then reordered by greedy private-pivot extraction and
+    recertified by an exact rank.  A rank shortfall or an ordering stall
+    raises CompletionError; there is no retry.  seed is only recorded in
+    the certificate.
     """
     if partial.n != n:
         raise ValueError(f"partial basis has order {partial.n}, expected {n}")
@@ -417,8 +410,7 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
 
     t0 = time.monotonic()
     base_perms = partial.perms()
-    pool = _completion_pool(n)
-    added, achieved = _probe_candidates(n, base_perms, pool, target)
+    added, achieved = _probe_candidates(n, base_perms, _completion_pool(n), target)
     if achieved < target:
         raise CompletionError(achieved, target, "candidate search")
     all_perms = base_perms + added
@@ -433,8 +425,7 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
     cert = BuildCertificate(
         pivot_check=True, rank=measured, target=target, seed=seed,
         elapsed=time.monotonic() - t0,
-        details={"added": len(added), "pool_size": len(pool),
-                 "partial_rows": len(base_perms)},
+        details={"added": len(added), "partial_rows": len(base_perms)},
     )
     rows = tuple(PivotedHtp(p, piv) for p, piv in zip(ordered, pivots))
     return UpperTriangularBasis(n, rows, cert)

@@ -13,9 +13,9 @@ orthogonalization runs on Fractions since the rationals have no square
 roots to normalize with.
 
 ModularEchelon runs the same sparse elimination modulo a fixed word-sized
-prime.  Only the basis builder's candidate probe uses it, in the sound
-direction: independence mod p implies independence over Q.  rank() is
-always exact.
+prime.  Only the basis builder's check of its completion rows uses it,
+in the sound direction: independence mod p implies independence over Q.
+rank() is always exact.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ class IntegerEchelon:
     faster scan on the builder's bases; Subspace, annihilator_basis and the
     brute-force oracle scan 'low', so the oracle never shares rank()'s
     elimination order.  Rows go in as sparse mappings, such as an
-    EdgeVector's integer entries, and are only read.
+    EdgeVector's entries, and are only read; a row with Fraction entries
+    is cleared of denominators in the copy that elimination works on.
     """
 
     def __init__(self, dim: int, pivot_order: str = "low"):
@@ -236,14 +237,17 @@ class IntegerEchelon:
         self._lead = min if pivot_order == "low" else max
         self.rows: dict[int, dict[int, int]] = {}
 
-    def reduce(self, entries: Mapping[int, int]) -> tuple[dict[int, int], int]:
+    def reduce(self, entries: Mapping[int, object]) -> tuple[dict[int, int], int]:
         """Eliminate a row against stored rows; return (residual, pivot column).
 
-        The pivot column is -1 when the row reduces to zero, i.e. lies in
-        the span of the rows added so far.
+        The residual is a multiple of the row over Q.  The pivot column is
+        -1 when the row reduces to zero, i.e. lies in the span of the rows
+        added so far.
         """
         rows, lead = self.rows, self._lead
         w = {k: x for k, x in entries.items() if x}
+        if set(map(type, w.values())) - {int}:
+            w = _integer_entries(w)
         while w:
             c = lead(w)
             row = rows.get(c)
@@ -252,7 +256,7 @@ class IntegerEchelon:
             w = _eliminate(w, row, c)
         return w, -1
 
-    def add(self, entries: Mapping[int, int]) -> bool:
+    def add(self, entries: Mapping[int, object]) -> bool:
         """Insert a row if independent of the current rows; report whether rank grew."""
         residual, c = self.reduce(entries)
         if c < 0:
@@ -260,7 +264,7 @@ class IntegerEchelon:
         self.rows[c] = _normalized(residual, c)
         return True
 
-    def contains(self, entries: Mapping[int, int]) -> bool:
+    def contains(self, entries: Mapping[int, object]) -> bool:
         return self.reduce(entries)[1] < 0
 
     @property
@@ -326,7 +330,7 @@ def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "high") -> int:
         return 0
     ech = IntegerEchelon(_common_dim(vecs), pivot_order=pivot_order)
     for v in vecs:
-        ech.add(_integer_entries(v.entries))
+        ech.add(v.entries)
     return ech.rank
 
 
@@ -353,7 +357,7 @@ class Subspace:
             ech = IntegerEchelon(self.dim_ambient)
             for g in self.generators:
                 if not g.is_zero:
-                    ech.add(_integer_entries(g.entries))
+                    ech.add(g.entries)
             self._echelon = ech
         return self._echelon
 
@@ -370,7 +374,7 @@ class Subspace:
             return False
         if v.dim != self.dim_ambient:
             raise ValueError(f"dimension mismatch: {v.dim} != {self.dim_ambient}")
-        return self._ech().contains(_integer_entries(v.entries))
+        return self._ech().contains(v.entries)
 
     def echelon_vectors(self) -> list[EdgeVector]:
         """The cached reduced rows; they span exactly the generator span."""
@@ -433,7 +437,7 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
             raise ValueError(f"generator dimension {g.dim} != ambient {ambient_dim}")
     ech = IntegerEchelon(ambient_dim)
     for g in gens:
-        ech.add(_integer_entries(g.entries))
+        ech.add(g.entries)
     # Back-substitute to reduced form, highest pivot first: the rows with a
     # higher pivot are already free of the other pivot columns, so clearing
     # one of them from row pc brings in none of the rest.
@@ -476,7 +480,7 @@ def annihilator_basis_gram_schmidt(generators: Iterable[EdgeVector],
     ech = IntegerEchelon(ambient_dim)
     independent: list[EdgeVector] = []
     for g in gens:
-        if ech.add(_integer_entries(g.entries)):
+        if ech.add(g.entries):
             independent.append(g)
     k = len(independent)
     extended = list(independent)

@@ -2,6 +2,7 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import htpbasis.basis as basis_mod
 from htpbasis.annihilators import annihilator_family, dimension_upper_bound
@@ -22,8 +23,9 @@ from htpbasis.basis import (
     lift_pivot,
     verify_upper_triangular,
 )
-from htpbasis.linalg import inner_product, rank
-from htpbasis.timegraph import Edge, all_edges, edge_index, htp_edges, htp_vector
+from htpbasis.linalg import ModularEchelon, inner_product, rank
+from htpbasis.timegraph import (Edge, _tour_columns, all_edges, edge_count, edge_index,
+                                htp_edges, htp_vector)
 
 
 # -- base case ---------------------------------------------------------------
@@ -64,6 +66,19 @@ def test_base_basis_self_check_catches_corruption(monkeypatch):
     monkeypatch.setattr(basis_mod, "BASE5_ROWS", tuple(rows))
     with pytest.raises(ValueError, match="embedded base data"):
         basis_mod.base_basis_5()
+
+
+def test_base_basis_rejects_a_stale_pivot_day(monkeypatch):
+    rows = list(basis_mod.BASE5_ROWS)
+    columns = [_tour_columns(5, p) for p, _ in rows]
+    # Row i moved to a day whose edge a later row j also uses.
+    i, day, j = next((i, day, j) for i in range(len(rows)) for day in range(6)
+                     for j in range(i + 1, len(rows)) if columns[i][day] in columns[j])
+    rows[i] = (rows[i][0], day)
+    monkeypatch.setattr(basis_mod, "BASE5_ROWS", tuple(rows))
+    with pytest.raises(ValueError, match="embedded base data corrupt") as err:
+        basis_mod.base_basis_5()
+    assert f"row {i} " in str(err.value)
 
 
 # -- pivot sequences ---------------------------------------------------------
@@ -178,6 +193,57 @@ def test_complete_basis_fills_the_deficit(base5):
     assert len(full) == 121
     assert full.certified
     assert full.certificate.details["added"] == 36
+
+
+# -- completion rows ----------------------------------------------------------------
+
+def _all_pairs_pool(n):
+    """Reference: every tour with a, n, b on days t-1, t, t+1 for a != b, rest ascending."""
+    return [basis_mod._spaced_perm(n, {t - 1: a, t: n, t + 1: b})
+            for t in range(2, n) for a in range(1, n) for b in range(1, n) if a != b]
+
+
+def _search_probe(n, base_perms, pool, target):
+    """Reference: add pool tours that raise the rank mod p, skip repeats, stop at target."""
+    ech = ModularEchelon(edge_count(n))
+    for p in base_perms:
+        assert ech.add(htp_vector(n, p).entries)
+    seen = set(base_perms)
+    added = []
+    for cand in pool:
+        if ech.rank >= target:
+            break
+        if cand in seen:
+            continue
+        seen.add(cand)
+        if ech.add(htp_vector(n, cand).entries):
+            added.append(cand)
+    return added, ech.rank
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_completion_rows_equal_the_searched_picks(built_bases, n):
+    partial = induction_families(n) + [lift(q) for q in built_bases[n - 1].perms()]
+    target = dimension_upper_bound(n)
+    picks, achieved = _search_probe(n, partial, _all_pairs_pool(n), target)
+    assert achieved == target
+    assert basis_mod._completion_pool(n) == picks
+
+
+def test_completion_rows_fill_the_deficit_exactly():
+    for n in range(6, 41):
+        rows = basis_mod._completion_pool(n)
+        deficit = dimension_upper_bound(n) - ((n - 1) ** 2 - 1) - dimension_upper_bound(n - 1)
+        assert len(rows) == deficit == (n - 2) * (2 * n - 3) == (n - 1) * (2 * n - 5) + 1
+        assert len(set(rows)) == len(rows)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_completion_rows_repeat_no_family_or_lifted_row(built_bases, n):
+    rows = basis_mod._completion_pool(n)
+    assert all(p[0] != n and p[-1] != n for p in rows)
+    partial = set(induction_families(n)) | {lift(q) for q in built_bases[n - 1].perms()}
+    assert not partial & set(rows)
 
 
 def test_complete_basis_returns_partial_at_target(built_bases):
@@ -468,6 +534,23 @@ def test_serialization_round_trip(base5, tmp_path):
     assert loaded.perms() == base5.perms()
     assert [r.pivot for r in loaded.rows] == [r.pivot for r in base5.rows]
     assert verify_upper_triangular(loaded).passed
+
+
+@st.composite
+def _pivoted_bases(draw):
+    n = draw(st.integers(3, 9))
+    rows = draw(st.lists(st.tuples(
+        st.permutations(range(1, n + 1)),
+        st.tuples(*[st.integers(-2, n + 2)] * 3)), max_size=12))
+    return UpperTriangularBasis(n, tuple(PivotedHtp(tuple(p), Edge(*piv)) for p, piv in rows))
+
+
+@given(_pivoted_bases())
+def test_text_round_trip_is_exact(basis):
+    text = basis.to_text()
+    again = UpperTriangularBasis.from_text(text)
+    assert again == basis
+    assert again.to_text() == text
 
 
 def test_from_text_rejects_bad_header():

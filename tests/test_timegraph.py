@@ -236,6 +236,17 @@ def test_timegraph_text_round_trip():
     assert again == g
 
 
+@given(st.integers(min_value=3, max_value=7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=edge_count(n), max_size=edge_count(n)))))
+def test_timegraph_text_round_trip_is_exact(case):
+    n, keep = case
+    g = TimeGraph(n, frozenset(e for e, k in zip(all_edges(n), keep) if k))
+    text = g.to_text()
+    again = TimeGraph.from_text(text)
+    assert again == g
+    assert again.to_text() == text
+
+
 def test_timegraph_text_comments_and_blanks():
     text = "# a comment\n\nn 5\n0 1 0\n# another\n1 2 1\n"
     g = TimeGraph.from_text(text)
