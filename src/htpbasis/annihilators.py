@@ -11,7 +11,9 @@ Together these n^2 + n - 1 vectors are independent, which caps the tour
 span at edge_count(n) - (n^2 + n - 1) = n(n-1)(n-2) + 1 dimensions.  The
 family's independence is certified here against explicit dual witnesses:
 partial paths ending at a chosen vertex and double-visit tours that repeat
-a chosen city.
+a chosen city.  Members are built, and paired with paths, in the integer
+columns of timegraph._column: one index from each column to the members
+that hold it serves every pairing check.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from .linalg import EdgeVector, inner_product, rank
+from .linalg import EdgeVector, rank
 from .report import Report
 from .timegraph import (
-    Edge,
+    _check_htp,
+    _column,
+    _tour_columns,
     edge_count,
-    edge_index,
-    htp_vector,
     partial_path_vector,
     timepath_vector,
 )
@@ -60,20 +62,10 @@ def vertex_annihilator(n: int, i: int, t: int) -> EdgeVector:
     """
     _check_range(n, i, "city", n)
     _check_range(n, t, "day", n)
-    entries: dict[int, int] = {}
-    if t == n:
-        entries[edge_index(n, Edge(i, 0, n))] = 1
-    else:
-        for j in range(1, n + 1):
-            if j != i:
-                entries[edge_index(n, Edge(i, j, t))] = 1
-    if t == 1:
-        entries[edge_index(n, Edge(0, i, 0))] = -1
-    else:
-        for j in range(1, n + 1):
-            if j != i:
-                entries[edge_index(n, Edge(j, i, t - 1))] = -1
-    return EdgeVector(edge_count(n), entries)
+    others = [j for j in range(1, n + 1) if j != i]
+    out = [_column(n, i, 0, n)] if t == n else [_column(n, i, j, t) for j in others]
+    into = [_column(n, 0, i, 0)] if t == 1 else [_column(n, j, i, t - 1) for j in others]
+    return EdgeVector(edge_count(n), {**dict.fromkeys(out, 1), **dict.fromkeys(into, -1)})
 
 
 def city_annihilator(n: int, i: int) -> EdgeVector:
@@ -84,15 +76,10 @@ def city_annihilator(n: int, i: int) -> EdgeVector:
     n^2 + n - 1 members.
     """
     _check_range(n, i, "city", n - 1)
-    entries: dict[int, int] = {}
-    for t in range(1, n):
-        for j in range(1, n + 1):
-            if j != i:
-                entries[edge_index(n, Edge(i, j, t))] = 1
-    entries[edge_index(n, Edge(i, 0, n))] = 1
-    for j in range(1, n + 1):
-        entries[edge_index(n, Edge(0, j, 0))] = entries.get(edge_index(n, Edge(0, j, 0)), 0) - 1
-    return EdgeVector(edge_count(n), entries)
+    out = [_column(n, i, j, t) for t in range(1, n) for j in range(1, n + 1) if j != i]
+    starts = [_column(n, 0, j, 0) for j in range(1, n + 1)]
+    return EdgeVector(edge_count(n), {**dict.fromkeys(out, 1), _column(n, i, 0, n): 1,
+                                      **dict.fromkeys(starts, -1)})
 
 
 def double_visit_path(n: int, i: int) -> tuple[int, ...]:
@@ -159,18 +146,21 @@ def annihilator_family(n: int) -> AnnihilatorFamily:
     return AnnihilatorFamily(n, city, vertex)
 
 
-def _sample_htps(n: int, sample_size: int, seed: int) -> Iterator[tuple[int, ...]]:
+SAMPLE_SIZE = 10_000  # random tours checked against the family for n >= 7
+
+
+def _sample_htps(n: int, seed: int) -> Iterator[tuple[int, ...]]:
     if n <= 6:
         yield from permutations(range(1, n + 1))
         return
     rng = random.Random(seed)
     base = list(range(1, n + 1))
-    for _ in range(sample_size):
+    for _ in range(SAMPLE_SIZE):
         rng.shuffle(base)
         yield tuple(base)
 
 
-def verify_duality(n: int, *, sample_size: int = 10_000, seed: int = 0) -> Report:
+def verify_duality(n: int, *, seed: int = 0) -> Report:
     """Check every pairing identity of the family and certify its rank.
 
     The three identity groups: double-visit tours pair to zero with every
@@ -183,8 +173,31 @@ def verify_duality(n: int, *, sample_size: int = 10_000, seed: int = 0) -> Repor
         raise ValueError(f"duality verification needs order >= 5, got {n}")
     t0 = time.monotonic()
     fam = annihilator_family(n)
-    doubles = {i: timepath_vector(n, double_visit_path(n, i)) for i in range(1, n)}
-    partials = {(i, t): partial_path_vector(n, i, t)
+    members = list(fam.members())
+    city = range(len(fam.city))
+    vertex = range(len(fam.city), len(members))
+    position = dict(zip(sorted(fam.vertex), vertex))  # the order of members()
+    holders: dict[int, list[tuple[int, int]]] = {}
+    for pos, g in enumerate(members):
+        for col, coef in g.entries.items():
+            holders.setdefault(col, []).append((pos, coef))
+
+    def mismatches(pairs, scope: range) -> int:
+        """Members in scope whose pairing with a path differs from the value
+        that path expects; pairs holds (path entries, {position: value})."""
+        bad = 0
+        for path, want in pairs:
+            got: dict[int, int] = {}
+            for col, x in path.items():
+                for pos, coef in holders.get(col, ()):
+                    if pos in scope:
+                        got[pos] = got.get(pos, 0) + coef * x
+            bad += sum(1 for pos in got.keys() | want.keys()
+                       if got.get(pos, 0) != want.get(pos, 0))
+        return bad
+
+    doubles = {i: timepath_vector(n, double_visit_path(n, i)).entries for i in range(1, n)}
+    partials = {(i, t): partial_path_vector(n, i, t).entries
                 for i in range(1, n + 1) for t in range(1, n + 1)}
 
     report = Report(
@@ -198,28 +211,17 @@ def verify_duality(n: int, *, sample_size: int = 10_000, seed: int = 0) -> Repor
         },
     )
 
-    bad = sum(1 for k in doubles for key in fam.vertex
-              if inner_product(doubles[k], fam.vertex[key]) != 0)
+    bad = mismatches(((f, {}) for f in doubles.values()), vertex)
     report.add("double-visit tours pair to 0 with vertex balances",
                bad == 0, expected=0, actual=bad,
                detail=f"{len(doubles) * len(fam.vertex)} pairings")
 
-    bad = 0
-    for (i, t), f in partials.items():
-        for (i2, t2), g in fam.vertex.items():
-            want = -1 if (i, t) == (i2, t2) else 0
-            if inner_product(f, g) != want:
-                bad += 1
+    bad = mismatches(((f, {position[key]: -1}) for key, f in partials.items()), vertex)
     report.add("partial paths pair to -delta with vertex balances",
                bad == 0, expected=0, actual=bad,
                detail=f"{len(partials) * len(fam.vertex)} pairings")
 
-    bad = 0
-    for i, f in doubles.items():
-        for j in range(1, n):
-            want = 1 if i == j else 0
-            if inner_product(f, fam.city[j - 1]) != want:
-                bad += 1
+    bad = mismatches(((f, {i - 1: 1}) for i, f in doubles.items()), city)
     report.add("double-visit tours pair to delta with city balances",
                bad == 0, expected=0, actual=bad,
                detail=f"{len(doubles) * len(fam.city)} pairings")
@@ -234,18 +236,12 @@ def verify_duality(n: int, *, sample_size: int = 10_000, seed: int = 0) -> Repor
                expected=dimension_upper_bound(n),
                actual=edge_count(n) - measured_rank)
 
-    members = list(fam.members())
-    checked = 0
-    bad = 0
-    for perm in _sample_htps(n, sample_size, seed):
-        hv = htp_vector(n, perm)
-        checked += 1
-        for g in members:
-            if inner_product(hv, g) != 0:
-                bad += 1
+    tours = list(_sample_htps(n, seed))
+    bad = mismatches(((dict.fromkeys(_tour_columns(n, _check_htp(n, p)), 1), {}) for p in tours),
+                     range(len(members)))
     report.add("every family member annihilates sampled tours",
                bad == 0, expected=0, actual=bad,
-               detail=f"{checked} tours x {len(members)} members")
+               detail=f"{len(tours)} tours x {len(members)} members")
 
     report.elapsed = time.monotonic() - t0
     return report

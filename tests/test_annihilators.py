@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from htpbasis import annihilators
 from htpbasis.annihilators import (
     annihilator_family,
     city_annihilator,
@@ -12,7 +13,8 @@ from htpbasis.annihilators import (
     verify_duality,
     vertex_annihilator,
 )
-from htpbasis.linalg import inner_product, rank
+from htpbasis.linalg import EdgeVector, inner_product, rank
+from htpbasis.report import Report
 from htpbasis.timegraph import (
     Edge,
     edge_count,
@@ -186,3 +188,149 @@ def test_family_independent_of_tour_span():
     fam = annihilator_family(5)
     tours = [htp_vector(5, p) for p in permutations(range(1, 6))]
     assert rank(tours + list(fam.members())) == 61 + 29 == edge_count(5)
+
+
+# --------------------------------------------------------------------------
+# references: the Edge/edge_index member builders and the four-loop
+# inner-product verify_duality that the column forms replaced
+# --------------------------------------------------------------------------
+
+def _reference_vertex_annihilator(n, i, t):
+    entries = {}
+    if t == n:
+        entries[edge_index(n, Edge(i, 0, n))] = 1
+    else:
+        for j in range(1, n + 1):
+            if j != i:
+                entries[edge_index(n, Edge(i, j, t))] = 1
+    if t == 1:
+        entries[edge_index(n, Edge(0, i, 0))] = -1
+    else:
+        for j in range(1, n + 1):
+            if j != i:
+                entries[edge_index(n, Edge(j, i, t - 1))] = -1
+    return EdgeVector(edge_count(n), entries)
+
+
+def _reference_city_annihilator(n, i):
+    entries = {}
+    for t in range(1, n):
+        for j in range(1, n + 1):
+            if j != i:
+                entries[edge_index(n, Edge(i, j, t))] = 1
+    entries[edge_index(n, Edge(i, 0, n))] = 1
+    for j in range(1, n + 1):
+        entries[edge_index(n, Edge(0, j, 0))] = entries.get(edge_index(n, Edge(0, j, 0)), 0) - 1
+    return EdgeVector(edge_count(n), entries)
+
+
+def _reference_verify_duality(n, seed=0):
+    """verify_duality as four nested inner_product loops; it reaches the
+    family, the witnesses and the sample through the module, so a
+    monkeypatched fault reaches both versions alike."""
+    ann = annihilators
+    fam = ann.annihilator_family(n)
+    doubles = {i: ann.timepath_vector(n, ann.double_visit_path(n, i)) for i in range(1, n)}
+    partials = {(i, t): ann.partial_path_vector(n, i, t)
+                for i in range(1, n + 1) for t in range(1, n + 1)}
+    report = Report(
+        title=f"annihilator family certification, order {n}",
+        params={"n": n, "seed": seed, "edge_count": edge_count(n),
+                "family_size": family_size(n),
+                "expected_dimension": dimension_upper_bound(n)},
+    )
+
+    bad = sum(1 for k in doubles for key in fam.vertex
+              if inner_product(doubles[k], fam.vertex[key]) != 0)
+    report.add("double-visit tours pair to 0 with vertex balances",
+               bad == 0, expected=0, actual=bad,
+               detail=f"{len(doubles) * len(fam.vertex)} pairings")
+
+    bad = 0
+    for (i, t), f in partials.items():
+        for (i2, t2), g in fam.vertex.items():
+            want = -1 if (i, t) == (i2, t2) else 0
+            if inner_product(f, g) != want:
+                bad += 1
+    report.add("partial paths pair to -delta with vertex balances",
+               bad == 0, expected=0, actual=bad,
+               detail=f"{len(partials) * len(fam.vertex)} pairings")
+
+    bad = 0
+    for i, f in doubles.items():
+        for j in range(1, n):
+            want = 1 if i == j else 0
+            if inner_product(f, fam.city[j - 1]) != want:
+                bad += 1
+    report.add("double-visit tours pair to delta with city balances",
+               bad == 0, expected=0, actual=bad,
+               detail=f"{len(doubles) * len(fam.city)} pairings")
+
+    measured_rank = fam.certified_rank()
+    report.add("family rank equals n^2 + n - 1",
+               measured_rank == family_size(n),
+               expected=family_size(n), actual=measured_rank)
+    report.add("edge count minus family rank equals n(n-1)(n-2)+1",
+               edge_count(n) - measured_rank == dimension_upper_bound(n),
+               expected=dimension_upper_bound(n),
+               actual=edge_count(n) - measured_rank)
+
+    members = list(fam.members())
+    checked = 0
+    bad = 0
+    for perm in ann._sample_htps(n, seed):
+        hv = htp_vector(n, perm)
+        checked += 1
+        for g in members:
+            if inner_product(hv, g) != 0:
+                bad += 1
+    report.add("every family member annihilates sampled tours",
+               bad == 0, expected=0, actual=bad,
+               detail=f"{checked} tours x {len(members)} members")
+    return report
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_member_builders_match_edge_reference(n):
+    for i in range(1, n + 1):
+        for t in range(1, n + 1):
+            assert vertex_annihilator(n, i, t) == _reference_vertex_annihilator(n, i, t)
+    for i in range(1, n):
+        assert city_annihilator(n, i) == _reference_city_annihilator(n, i)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_verify_duality_matches_inner_product_reference(n, seed):
+    assert verify_duality(n, seed=seed).to_json() == _reference_verify_duality(n, seed).to_json()
+
+
+def _faulty_member(n, i, t):
+    g = vertex_annihilator(n, i, t)
+    if (i, t) == (2, 3):
+        g.entries[edge_index(n, Edge(2, 1, 3))] = 2
+    return g
+
+
+def _faulty_witness(n, i):
+    return (1, 2, 1, 3, 4, 6) if i == 1 else double_visit_path(n, i)
+
+
+def _faulty_partial(n, i, t):
+    f = partial_path_vector(n, i, t)
+    if (i, t) == (4, 2):
+        f.entries[edge_index(n, Edge(3, 5, 1))] = 1
+    return f
+
+
+@pytest.mark.parametrize("name,fault,label", [
+    ("vertex_annihilator", _faulty_member, "every family member annihilates sampled tours"),
+    ("double_visit_path", _faulty_witness, "double-visit tours pair to delta with city balances"),
+    ("partial_path_vector", _faulty_partial, "partial paths pair to -delta with vertex balances"),
+])
+def test_faults_fail_alike_in_both_versions(monkeypatch, name, fault, label):
+    monkeypatch.setattr(annihilators, name, fault)
+    ours, reference = verify_duality(6), _reference_verify_duality(6)
+    assert ours.to_json() == reference.to_json()  # same labels, same actual counts
+    [check] = [c for c in ours.checks if c.label == label]
+    assert not check.passed and check.actual > 0
