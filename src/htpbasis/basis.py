@@ -70,9 +70,10 @@ class PivotError(ValueError):
 class CompletionError(RuntimeError):
     """The completion engine could not reach the target rank or ordering.
 
-    stage is "candidate search" when the completion rows leave the rank
-    mod p short of the target, "ordering" when the rows admit no
-    upper-triangular order.
+    stage is "seeding (partial rows dependent mod p)" when the partial
+    rows are dependent mod p, "candidate search" when the completion rows
+    leave the rank mod p short of the target, "ordering" when the rows
+    admit no upper-triangular order.
     """
 
     def __init__(self, achieved: int, target: int, stage: str):

@@ -61,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("annihilators", help="certify the annihilator family")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for the tour sample at n > 6")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser
@@ -167,7 +165,7 @@ def _cmd_analyze(args, parser) -> int:
 def _cmd_annihilators(args, parser) -> int:
     if args.n < 5:
         parser.error(f"--n must be >= 5, got {args.n}")
-    report = verify_duality(args.n, seed=args.seed)
+    report = verify_duality(args.n)
     print(report.render(args.format), end="")
     return 0 if report.passed else VERIFY_ERROR
 

@@ -191,8 +191,8 @@ def test_family_independent_of_tour_span():
 
 
 # --------------------------------------------------------------------------
-# references: the Edge/edge_index member builders and the four-loop
-# inner-product verify_duality that the column forms replaced
+# references: the Edge/edge_index member builders, and verify_duality as
+# inner-product loops that pair every tour with every member
 # --------------------------------------------------------------------------
 
 def _reference_vertex_annihilator(n, i, t):
@@ -225,8 +225,9 @@ def _reference_city_annihilator(n, i):
 
 
 def _reference_verify_duality(n, seed=0):
-    """verify_duality as four nested inner_product loops; it reaches the
-    family, the witnesses and the sample through the module, so a
+    """verify_duality as nested inner_product loops that pair every tour
+    (all n! of them) with every member in place of the potential forms; it
+    reaches the family and the witnesses through the module, so a
     monkeypatched fault reaches both versions alike."""
     ann = annihilators
     fam = ann.annihilator_family(n)
@@ -276,17 +277,10 @@ def _reference_verify_duality(n, seed=0):
                actual=edge_count(n) - measured_rank)
 
     members = list(fam.members())
-    checked = 0
-    bad = 0
-    for perm in ann._sample_htps(n, seed):
-        hv = htp_vector(n, perm)
-        checked += 1
-        for g in members:
-            if inner_product(hv, g) != 0:
-                bad += 1
-    report.add("every family member annihilates sampled tours",
-               bad == 0, expected=0, actual=bad,
-               detail=f"{checked} tours x {len(members)} members")
+    tours = [htp_vector(n, p) for p in permutations(range(1, n + 1))]
+    bad = sum(1 for g in members if any(inner_product(v, g) != 0 for v in tours))
+    report.add("every family member is a potential form, so it annihilates every tour",
+               bad == 0, expected=0, actual=bad, detail=f"{len(members)} members")
     return report
 
 
@@ -324,7 +318,8 @@ def _faulty_partial(n, i, t):
 
 
 @pytest.mark.parametrize("name,fault,label", [
-    ("vertex_annihilator", _faulty_member, "every family member annihilates sampled tours"),
+    ("vertex_annihilator", _faulty_member,
+     "every family member is a potential form, so it annihilates every tour"),
     ("double_visit_path", _faulty_witness, "double-visit tours pair to delta with city balances"),
     ("partial_path_vector", _faulty_partial, "partial paths pair to -delta with vertex balances"),
 ])
@@ -334,3 +329,31 @@ def test_faults_fail_alike_in_both_versions(monkeypatch, name, fault, label):
     assert ours.to_json() == reference.to_json()  # same labels, same actual counts
     [check] = [c for c in ours.checks if c.label == label]
     assert not check.passed and check.actual > 0
+
+
+def test_a_faulty_potential_fails_only_the_potential_check(monkeypatch):
+    form = annihilators._potential_form
+    monkeypatch.setattr(annihilators, "_potential_form",
+                        lambda n, phi, w: form(n, phi, {c: -x for c, x in w.items()}))
+    report = verify_duality(6)
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.label for c in failed] == [
+        "every family member is a potential form, so it annihilates every tour"]
+    assert failed[0].actual == 5  # the city balances; vertex balances have w = 0
+    assert len(report.checks) == 6
+
+
+def test_potential_forms_pair_to_the_sum_of_w_with_random_tours():
+    rng = random.Random(5)
+    for n in (5, 7, 9):
+        phi = {(rng.randint(1, n), rng.randint(1, n)): rng.randint(-3, 3) for _ in range(6)}
+        w = {c: rng.randint(-3, 3) for c in rng.sample(range(n + 1), 3)}
+        g = EdgeVector(edge_count(n), annihilators._potential_form(n, phi, w))
+        for _ in range(50):
+            assert inner_product(htp_vector(n, rng.sample(range(1, n + 1), n)), g) == sum(w.values())
+
+
+@pytest.mark.parametrize("n", range(9, 21))
+def test_verify_duality_passes_beyond_exhaustive_orders(n):
+    report = verify_duality(n)
+    assert report.passed and len(report.checks) == 6

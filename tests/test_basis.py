@@ -269,6 +269,18 @@ def test_complete_basis_raises_when_no_order_exists(base5, monkeypatch):
     assert exc.value.achieved == exc.value.target == 121
 
 
+def test_complete_basis_raises_when_the_partial_rows_repeat(base5):
+    partial = _partial_six(base5)
+    rows = partial.rows + partial.rows[-1:]
+    forged = UpperTriangularBasis(6, rows, BuildCertificate(
+        pivot_check=True, rank=len(rows), target=len(rows)))  # a certificate made by hand
+    assert forged.certified
+    with pytest.raises(CompletionError) as exc:
+        complete_basis(6, forged, 121)
+    assert exc.value.stage == "seeding (partial rows dependent mod p)"
+    assert exc.value.achieved == len(partial) < exc.value.target == 121
+
+
 def test_complete_basis_requires_certified_partial():
     stub = UpperTriangularBasis(6, ())
     with pytest.raises(ValueError):

@@ -202,6 +202,12 @@ def test_annihilators_reject_small_order(capsys):
     assert exc.value.code == 2
 
 
+def test_annihilators_take_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["annihilators", "--n", "5", "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_json_reports_are_byte_identical(capsys, tmp_path):
     _, first, _ = run(capsys, "annihilators", "--n", "5", "--format", "json")
     _, second, _ = run(capsys, "annihilators", "--n", "5", "--format", "json")
