@@ -11,11 +11,16 @@ n >= 5:
   day 1, appends the previous basis lifted by parking city n on day n,
   and fills the remaining rank deficit with explicit completion rows
   that park city n on an interior day between fixed neighbours, one row
-  per unit of the deficit (a check modulo a prime confirms that each row
-  raises the rank, sound in the one direction it is used: independence
-  mod p implies independence over Q);
+  per unit of the deficit;
+* one exact elimination over Z, seeded with the families and lifted
+  rows, confirms that each completion row raises the rank and measures
+  the exact rank of the full set;
 * the full set is then reordered greedily so every row regains a private
-  pivot edge, and certified by an independent exact rank computation.
+  pivot edge.  The certificate joins the two independent arguments: the
+  private pivots and the exact rank.
+
+Each level turns every tour into its columns once and reuses that table
+for both pivot sweeps, the elimination and the greedy order.
 
 No step is random.  The seed that build() takes is recorded in the
 certificate and changes no row.
@@ -26,12 +31,12 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import linalg
 from .annihilators import dimension_upper_bound
 from .base5 import BASE5_ROWS
-from .linalg import EdgeVector, ModularEchelon
+from .linalg import EdgeVector, IntegerEchelon
 from .report import Report
 from .timegraph import (Edge, _check_htp, _is_permutation, _tour_columns, edge_count,
                         edge_from_index, edge_index, htp_vector)
@@ -70,10 +75,10 @@ class PivotError(ValueError):
 class CompletionError(RuntimeError):
     """The completion engine could not reach the target rank or ordering.
 
-    stage is "seeding (partial rows dependent mod p)" when the partial
-    rows are dependent mod p, "candidate search" when the completion rows
-    leave the rank mod p short of the target, "ordering" when the rows
-    admit no upper-triangular order.
+    stage is "seeding (partial rows dependent)" when the partial rows are
+    linearly dependent, "candidate search" when the completion rows leave
+    the exact rank short of the target, "ordering" when the rows admit no
+    upper-triangular order.
     """
 
     def __init__(self, achieved: int, target: int, stage: str):
@@ -185,31 +190,28 @@ class UpperTriangularBasis:
 # pivots
 # --------------------------------------------------------------------------
 
-def _backward_sweep(n: int, perms: Sequence[Sequence[int]]) -> Iterator[tuple]:
+def _backward_sweep(size: int, columns_of: Callable[[int], list[int]]) -> Iterator[tuple]:
     """Yield (row index, its columns, later) for each row, the last row first.
 
-    later maps each column used after the row to the lowest later row that
-    uses it.  The mapping is shared and updated once the caller moves on,
-    so the whole sweep is linear in the edges listed.
+    columns_of(idx) gives the columns of row idx.  later maps each column
+    used after the row to the lowest later row that uses it.  The mapping
+    is shared and updated once the caller moves on, so the whole sweep is
+    linear in the edges listed.
     """
     later: dict[int, int] = {}
-    for idx in range(len(perms) - 1, -1, -1):
-        cols = _tour_columns(n, _check_htp(n, perms[idx]))
+    for idx in range(size - 1, -1, -1):
+        cols = columns_of(idx)
         yield idx, cols, later
         for c in cols:
             later[c] = idx
 
 
-def find_pivot_sequence(n: int, perms: Sequence[tuple[int, ...]]) -> list[Edge]:
-    """Per row, the lowest-indexed edge used by it and by no later row.
-
-    Succeeds exactly when the sequence is upper triangular in the given
-    order; the resulting pivots are automatically pairwise distinct.
-    Raises PivotError naming the first row without an admissible edge.
-    """
+def _pivot_sequence(n: int, perms: Sequence[tuple[int, ...]],
+                    columns_of: Callable[[int], list[int]]) -> list[Edge]:
+    """find_pivot_sequence on rows whose columns columns_of(idx) gives."""
     pivots: list[Edge | None] = [None] * len(perms)
     first_bad: int | None = None
-    for idx, cols, later in _backward_sweep(n, perms):
+    for idx, cols, later in _backward_sweep(len(perms), columns_of):
         free = [c for c in cols if c not in later]
         if free:
             pivots[idx] = edge_from_index(n, min(free))
@@ -220,6 +222,16 @@ def find_pivot_sequence(n: int, perms: Sequence[tuple[int, ...]]) -> list[Edge]:
     return pivots  # type: ignore[return-value]
 
 
+def find_pivot_sequence(n: int, perms: Sequence[tuple[int, ...]]) -> list[Edge]:
+    """Per row, the lowest-indexed edge used by it and by no later row.
+
+    Succeeds exactly when the sequence is upper triangular in the given
+    order; the resulting pivots are automatically pairwise distinct.
+    Raises PivotError naming the first row without an admissible edge.
+    """
+    return _pivot_sequence(n, perms, lambda idx: _tour_columns(n, _check_htp(n, perms[idx])))
+
+
 def _pivot_violation(n: int, rows: Sequence[PivotedHtp]) -> tuple[int, int] | None:
     """First (i, j) with i < j where row j uses row i's pivot, else None.
 
@@ -227,7 +239,8 @@ def _pivot_violation(n: int, rows: Sequence[PivotedHtp]) -> tuple[int, int] | No
     that is no edge of the order-n time graph at all.
     """
     found = None
-    for idx, cols, later in _backward_sweep(n, [r.htp for r in rows]):
+    sweep = _backward_sweep(len(rows), lambda idx: _tour_columns(n, _check_htp(n, rows[idx].htp)))
+    for idx, cols, later in sweep:
         try:
             pivot = edge_index(n, rows[idx].pivot)
         except ValueError:
@@ -336,28 +349,35 @@ def _completion_pool(n: int) -> list[tuple[int, ...]]:
             if a != b and (1 in (a, b) or (a, b) == (2, 3))]
 
 
-def _greedy_ut_order(n: int, perms: Sequence[tuple[int, ...]]) -> list[int] | None:
-    """Order rows so each owns an edge unused by all later rows.
+def _columns(n: int, perms: Iterable[Sequence[int]]) -> list[list[int]]:
+    """The column table of a level: each tour's columns, each tour checked once."""
+    return [_tour_columns(n, _check_htp(n, p)) for p in perms]
 
-    Repeatedly picks the lowest-indexed remaining row holding an edge of
-    remaining multiplicity one.  Removing a placed row can only free edges,
-    so if any valid order exists the greedy finds one; None signals a stall.
 
-    A row that holds an edge of count one keeps it until the row itself is
-    placed, so the candidates live in a min-heap.  Each edge also tracks
-    the sum of its remaining holders' indices: when its count drops to one,
-    that sum is the last holder.  Total work is linear in the edges listed.
+def _greedy_ut_order(n: int, columns: Sequence[list[int]]) -> list[int] | None:
+    """Order rows, given by their order-n columns, so each owns a column
+    unused by all later rows.
+
+    Repeatedly picks the lowest-indexed remaining row holding a column of
+    remaining multiplicity one.  Removing a placed row can only free
+    columns, so if any valid order exists the greedy finds one; None
+    signals a stall.
+
+    A row that holds a column of count one keeps it until the row itself
+    is placed, so the candidates live in a min-heap.  Each column also
+    tracks the sum of its remaining holders' indices: when its count drops
+    to one, that sum is the last holder.  Total work is linear in the
+    columns listed.
     """
-    columns = [_tour_columns(n, _check_htp(n, p)) for p in perms]
-    count: dict[int, int] = {}
-    holders: dict[int, int] = {}
+    count = [0] * edge_count(n)
+    holders = [0] * edge_count(n)
     for ri, cols in enumerate(columns):
         for c in cols:
-            count[c] = count.get(c, 0) + 1
-            holders[c] = holders.get(c, 0) + ri
-    ready = [holders[c] for c, k in count.items() if k == 1]
+            count[c] += 1
+            holders[c] += ri
+    ready = [holders[c] for c, k in enumerate(count) if k == 1]
     heapq.heapify(ready)
-    placed = [False] * len(perms)
+    placed = [False] * len(columns)
     order: list[int] = []
     while ready:
         pick = heapq.heappop(ready)
@@ -370,35 +390,66 @@ def _greedy_ut_order(n: int, perms: Sequence[tuple[int, ...]]) -> list[int] | No
             holders[c] -= pick
             if count[c] == 1:
                 heapq.heappush(ready, holders[c])
-    return order if len(order) == len(perms) else None
+    return order if len(order) == len(columns) else None
 
 
-def _probe_candidates(n: int, base_perms: Sequence[tuple[int, ...]],
-                      pool: Iterable[tuple[int, ...]],
-                      target: int) -> tuple[list[tuple[int, ...]], int]:
-    """The pool tours that raise the rank mod p after the base rows, and that rank.
+def _probe_candidates(n: int, base_columns: Sequence[list[int]],
+                      pool_columns: Sequence[list[int]],
+                      target: int) -> tuple[list[int], int]:
+    """The pool rows that raise the exact rank after the base rows, and that rank.
 
-    Independence mod p implies independence over Q, so every tour kept is
-    independent of the others over Q; a tour independent only over Q is
-    dropped.  The returned rank is a lower bound on the rank over Q.
+    One fraction-free elimination over Z, scanning 'high' as rank() does,
+    is seeded with the base rows and then offered every pool row; rows
+    are given by their columns.  added lists the indices of the pool rows
+    kept.  The returned rank is the exact rank over Q of base and pool
+    together, so also of base and added.  A dependent base row raises
+    CompletionError.
     """
-    ech = ModularEchelon(edge_count(n))
-    for p in base_perms:
-        if not ech.add(htp_vector(n, p).entries):
-            raise CompletionError(ech.rank, target, "seeding (partial rows dependent mod p)")
-    added = [cand for cand in pool if ech.add(htp_vector(n, cand).entries)]
+    ech = IntegerEchelon(edge_count(n), pivot_order="high")
+    for cols in base_columns:
+        if not ech.add(dict.fromkeys(cols, 1)):
+            raise CompletionError(ech.rank, target, "seeding (partial rows dependent)")
+    added = [i for i, cols in enumerate(pool_columns) if ech.add(dict.fromkeys(cols, 1))]
     return added, ech.rank
+
+
+def _complete(n: int, base_perms: list[tuple[int, ...]], base_columns: list[list[int]],
+              target: int, seed: int) -> UpperTriangularBasis:
+    """complete_basis on partial rows whose column table is already known."""
+    t0 = time.monotonic()
+    pool = _completion_pool(n)
+    pool_columns = _columns(n, pool)
+    added, achieved = _probe_candidates(n, base_columns, pool_columns, target)
+    if achieved < target:
+        raise CompletionError(achieved, target, "candidate search")
+    all_perms = base_perms + [pool[i] for i in added]
+    all_columns = base_columns + [pool_columns[i] for i in added]
+    order = _greedy_ut_order(n, all_columns)
+    if order is None:
+        raise CompletionError(achieved, target, "ordering")
+
+    ordered = [all_perms[i] for i in order]
+    pivots = _pivot_sequence(n, ordered, lambda idx: all_columns[order[idx]])
+    cert = BuildCertificate(
+        pivot_check=True, rank=achieved, target=target, seed=seed,
+        elapsed=time.monotonic() - t0,
+        details={"added": len(added), "partial_rows": len(base_perms)},
+    )
+    rows = tuple(PivotedHtp(p, piv) for p, piv in zip(ordered, pivots))
+    return UpperTriangularBasis(n, rows, cert)
 
 
 def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
                    seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Extend a certified partial basis to exactly target independent rows.
 
-    The completion rows are appended, each checked mod p to raise the rank;
-    the whole set is then reordered by greedy private-pivot extraction and
-    recertified by an exact rank.  A rank shortfall or an ordering stall
-    raises CompletionError; there is no retry.  seed is only recorded in
-    the certificate.
+    One exact elimination over Z, seeded with the partial rows, keeps
+    each completion row that raises the rank and measures the exact rank
+    of the whole set; the rows kept are then reordered by greedy
+    private-pivot extraction.  The certificate joins the two arguments:
+    a private pivot for every row and the exact rank.  A dependent partial
+    row, a rank shortfall or an ordering stall raises CompletionError;
+    there is no retry.  seed is only recorded in the certificate.
     """
     if partial.n != n:
         raise ValueError(f"partial basis has order {partial.n}, expected {n}")
@@ -408,28 +459,8 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
         return partial
     if len(partial) > target:
         raise ValueError(f"partial already has {len(partial)} rows > target {target}")
-
-    t0 = time.monotonic()
     base_perms = partial.perms()
-    added, achieved = _probe_candidates(n, base_perms, _completion_pool(n), target)
-    if achieved < target:
-        raise CompletionError(achieved, target, "candidate search")
-    all_perms = base_perms + added
-    order = _greedy_ut_order(n, all_perms)
-    if order is None:
-        raise CompletionError(achieved, target, "ordering")
-
-    ordered = [all_perms[i] for i in order]
-    pivots = find_pivot_sequence(n, ordered)
-    vectors = [htp_vector(n, p) for p in ordered]
-    measured = linalg.rank(vectors)
-    cert = BuildCertificate(
-        pivot_check=True, rank=measured, target=target, seed=seed,
-        elapsed=time.monotonic() - t0,
-        details={"added": len(added), "partial_rows": len(base_perms)},
-    )
-    rows = tuple(PivotedHtp(p, piv) for p, piv in zip(ordered, pivots))
-    return UpperTriangularBasis(n, rows, cert)
+    return _complete(n, base_perms, _columns(n, base_perms), target, seed)
 
 
 def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
@@ -437,8 +468,9 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
 
     Recursive: families with city n on day 1 first, then the lifted
     previous basis, then completion rows; the completion engine owns the
-    final ordering and certification.  seed is recorded in the
-    certificate and changes no row.
+    final ordering and certification.  Each level turns every tour into
+    its columns once.  seed is recorded in the certificate and changes no
+    row.
     """
     if n < 5:
         raise ValueError(f"basis construction starts at order 5, got {n}")
@@ -449,29 +481,20 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     families = induction_families(n)
     lifted = [lift(q) for q in previous.perms()]
     partial_perms = families + lifted
-    pivots = find_pivot_sequence(n, partial_perms)
+    columns = _columns(n, partial_perms)
+    pivots = _pivot_sequence(n, partial_perms, columns.__getitem__)
 
     # How many lifted rows kept the pivot inherited through the lift.
     inherited = sum(
         1 for offset, row in enumerate(previous.rows)
         if pivots[len(families) + offset] == lift_pivot(n, row.pivot))
 
-    # Distinct private pivots prove the partial rows independent, so their
-    # rank is their count; the completed rows get an exact rank as well.
-    partial_cert = BuildCertificate(
-        pivot_check=True, rank=len(pivots),
-        target=len(partial_perms), seed=seed,
-        details={"families": len(families), "lifted": len(lifted),
-                 "lifted_pivots_inherited": inherited},
-    )
-    partial = UpperTriangularBasis(
-        n, tuple(PivotedHtp(p, piv) for p, piv in zip(partial_perms, pivots)),
-        partial_cert)
-
-    result = complete_basis(n, partial, dimension_upper_bound(n), seed)
-    if result.certificate is not None:
-        result.certificate.elapsed = time.monotonic() - t0
-        result.certificate.details.update(partial_cert.details)
+    # Distinct private pivots prove the partial rows independent; the
+    # completed rows get an exact elimination as well.
+    result = _complete(n, partial_perms, columns, dimension_upper_bound(n), seed)
+    result.certificate.elapsed = time.monotonic() - t0
+    result.certificate.details.update({"families": len(families), "lifted": len(lifted),
+                                       "lifted_pivots_inherited": inherited})
     return result
 
 

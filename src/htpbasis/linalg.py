@@ -13,8 +13,12 @@ orthogonalization runs on Fractions since the rationals have no square
 roots to normalize with.
 
 ModularEchelon runs the same sparse elimination modulo a fixed word-sized
-prime.  Only the basis builder's check of its completion rows uses it,
-in the sound direction: independence mod p implies independence over Q.
+prime.  No path of the package uses it any more: the basis builder checks
+its completion rows with an exact IntegerEchelon.  It stays for the
+tests' reference probe and for the benchmark tracer, which wraps its add,
+until the benchmark reads an in-package stage trace and the class goes
+(ROADMAP items 1 and 3).  Where it is used, it is used in the sound
+direction only: independence mod p implies independence over Q.
 rank() is always exact.
 """
 
@@ -222,10 +226,10 @@ class IntegerEchelon:
     Rows are dicts column -> nonzero int, keyed by their pivot column and
     stored divided by their content with a positive pivot entry.
     pivot_order 'low' takes each residual's lowest column as its pivot,
-    'high' its highest.  rank() scans 'high' by default, which is the
-    faster scan on the builder's bases; Subspace, annihilator_basis and the
-    brute-force oracle scan 'low', so the oracle never shares rank()'s
-    elimination order.  Rows go in as sparse mappings, such as an
+    'high' its highest.  rank() and the builder's completion check scan
+    'high', which is the faster scan on the builder's bases; Subspace,
+    annihilator_basis and the brute-force oracle scan 'low', so the oracle
+    never shares the builder's elimination order.  Rows go in as sparse mappings, such as an
     EdgeVector's entries, and are only read; a row with Fraction entries
     is cleared of denominators in the copy that elimination works on.
     """
@@ -278,10 +282,11 @@ class ModularEchelon:
     Rows are dicts column -> nonzero residue, keyed by their highest
     column (the pivot) and scaled so the pivot entry is 1; a dense row is
     never built, so memory follows the nonzeros present.  On tour vectors
-    the highest column causes less fill-in than the lowest: build(10)
-    spends about half as long here.  A set of rows that is independent
-    modulo p is independent over Q, never the other way round: a rejected
-    row may still be independent over Q.
+    the highest column causes less fill-in than the lowest.  A set of rows
+    that is independent modulo p is independent over Q, never the other
+    way round: a rejected row may still be independent over Q.  No package
+    path uses it; the tests' reference probe and the benchmark tracer
+    still do.
     """
 
     def __init__(self, dim: int, prime: int = MODULAR_PRIME):

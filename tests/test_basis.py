@@ -1,10 +1,12 @@
 import hashlib
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 import htpbasis.basis as basis_mod
+import htpbasis.timegraph as timegraph_mod
 from htpbasis.annihilators import annihilator_family, dimension_upper_bound
 from htpbasis.basis import (
     BasisFormatError,
@@ -13,6 +15,7 @@ from htpbasis.basis import (
     PivotError,
     PivotedHtp,
     UpperTriangularBasis,
+    _columns,
     _greedy_ut_order,
     _pivot_violation,
     build,
@@ -277,8 +280,44 @@ def test_complete_basis_raises_when_the_partial_rows_repeat(base5):
     assert forged.certified
     with pytest.raises(CompletionError) as exc:
         complete_basis(6, forged, 121)
-    assert exc.value.stage == "seeding (partial rows dependent mod p)"
+    assert exc.value.stage == "seeding (partial rows dependent)"
     assert exc.value.achieved == len(partial) < exc.value.target == 121
+
+
+def test_complete_basis_skips_a_pool_tour_already_in_the_span(base5, monkeypatch):
+    pool = basis_mod._completion_pool
+    # The lift of an order-5 tour outside the order-5 basis: a new tour in
+    # the span of the lifted rows.
+    extra = lift(next(q for q in permutations(range(1, 6)) if q not in base5.perms()))
+    lifted = [htp_vector(6, lift(q)) for q in base5.perms()]
+    assert rank(lifted + [htp_vector(6, extra)]) == rank(lifted) == 61
+    monkeypatch.setattr(basis_mod, "_completion_pool", lambda n: pool(n) + [extra])
+    full = complete_basis(6, _partial_six(base5), 121)
+    assert extra not in full.perms()
+    assert full.certificate.details["added"] == 36
+    assert full.certified
+    assert verify_upper_triangular(full).passed
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_certificate_rank_is_the_exact_rank_of_the_rows(built_bases, n):
+    vectors = built_bases[n].vectors()
+    for order in ("low", "high"):
+        assert built_bases[n].certificate.rank == rank(vectors, pivot_order=order)
+
+
+def test_build_turns_each_tour_into_columns_once_per_level(monkeypatch):
+    calls = []
+
+    def spy(n, s):
+        calls.append(n)
+        return _tour_columns(n, s)
+
+    monkeypatch.setattr(timegraph_mod, "_tour_columns", spy)
+    monkeypatch.setattr(basis_mod, "_tour_columns", spy)
+    build(10)
+    # 1895 rows over the levels 6..10, plus three passes over the 61 rows of order 5.
+    assert len(calls) <= 2100
 
 
 def test_complete_basis_requires_certified_partial():
@@ -398,7 +437,7 @@ def test_greedy_order_matches_rescan_reference(built_bases, n):
         cases.append(_random_tours(n, size, rng))
     outcomes = set()
     for perms in cases:
-        got = _greedy_ut_order(n, perms)
+        got = _greedy_ut_order(n, _columns(n, perms))
         assert got == _greedy_ut_order_by_rescan(n, perms)
         outcomes.add(got is None)
     assert outcomes == {False, True}
@@ -407,8 +446,9 @@ def test_greedy_order_matches_rescan_reference(built_bases, n):
 def test_greedy_order_stalls_on_repeated_tour():
     perms = [(1, 2, 3, 4, 5, 6), (2, 1, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)]
     assert _greedy_ut_order_by_rescan(6, perms) is None
-    assert _greedy_ut_order(6, perms) is None
-    assert _greedy_ut_order(6, perms[:2]) == _greedy_ut_order_by_rescan(6, perms[:2]) == [0, 1]
+    first_two = _columns(6, perms[:2])
+    assert _greedy_ut_order(6, _columns(6, perms)) is None
+    assert _greedy_ut_order(6, first_two) == _greedy_ut_order_by_rescan(6, perms[:2]) == [0, 1]
 
 
 # -- pivot sweep -------------------------------------------------------------------
