@@ -4,9 +4,10 @@ Each order reuses the previous basis: new structured rows park the new
 city on day 1, the old rows are lifted by parking it on day n, and the
 remaining rank deficit is filled with explicit completion rows that park
 it on an interior day between fixed neighbours: (n-2)(2n-3) tours, exactly
-the deficit (n-1)(2n-5)+1, with no search and no random tours.  The final
-ordering is recomputed so every row again owns a private pivot edge, then
-the whole thing is certified by an independent exact rank computation.
+the deficit (n-1)(2n-5)+1, with no search and no random tours.  Each order
+is reordered so every row again owns a private pivot edge, which proves the
+orders below the requested one independent; only the requested order is
+also certified by an independent exact rank computation.
 
 Pass a maximum order as the first argument (default 8, try 9).
 """

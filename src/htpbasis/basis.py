@@ -12,15 +12,19 @@ n >= 5:
   and fills the remaining rank deficit with explicit completion rows
   that park city n on an interior day between fixed neighbours, one row
   per unit of the deficit;
-* one exact elimination over Z, seeded with the families and lifted
-  rows, confirms that each completion row raises the rank and measures
-  the exact rank of the full set;
-* the full set is then reordered greedily so every row regains a private
-  pivot edge.  The certificate joins the two independent arguments: the
-  private pivots and the exact rank.
+* below the requested order, a greedy reordering that gives every row a
+  private pivot edge proves the level independent, and its row count is
+  the target, so no inner level runs an elimination;
+* at the requested order, one exact elimination over Z, seeded with the
+  families and lifted rows, confirms that each completion row raises the
+  rank and measures the exact rank of the full set, which is then
+  reordered greedily.  The certificate joins the two independent
+  arguments: the private pivots and the exact rank.
 
-Each level turns every tour into its columns once and reuses that table
-for both pivot sweeps, the elimination and the greedy order.
+Families and completion rows are turned into their columns once; lifted
+rows take theirs from the previous level's table through one old -> new
+column map.  Each table serves the greedy order, and at the requested
+order both pivot sweeps and the elimination.
 
 No step is random.  The seed that build() takes is recorded in the
 certificate and changes no row.
@@ -256,8 +260,12 @@ def _pivot_violation(n: int, rows: Sequence[PivotedHtp]) -> tuple[int, int] | No
 # base case
 # --------------------------------------------------------------------------
 
-def base_basis_5() -> UpperTriangularBasis:
-    """The embedded 61-row order-5 basis, self-checked and rank-certified."""
+def _base5_rows() -> tuple[PivotedHtp, ...]:
+    """The embedded 61 order-5 rows with their table pivots, self-checked.
+
+    The rows must be distinct tours whose pivots are private, which alone
+    proves them independent.
+    """
     n = 5
     perms = [p for p, _ in BASE5_ROWS]
     if len(perms) != 61 or len(set(perms)) != len(perms):
@@ -272,10 +280,16 @@ def base_basis_5() -> UpperTriangularBasis:
     if violation is not None:
         raise ValueError(f"embedded base data corrupt: pivot of row {violation[0]} "
                          f"is not private (row {violation[1]})")
-    measured = linalg.rank([htp_vector(n, p) for p in perms])
+    return rows
+
+
+def base_basis_5() -> UpperTriangularBasis:
+    """The embedded 61-row order-5 basis, self-checked and rank-certified."""
+    rows = _base5_rows()
+    measured = linalg.rank([htp_vector(5, r.htp) for r in rows])
     cert = BuildCertificate(pivot_check=True, rank=measured, target=61,
                             details={"source": "embedded order-5 table"})
-    return UpperTriangularBasis(n, rows, cert)
+    return UpperTriangularBasis(5, rows, cert)
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +366,18 @@ def _completion_pool(n: int) -> list[tuple[int, ...]]:
 def _columns(n: int, perms: Iterable[Sequence[int]]) -> list[list[int]]:
     """The column table of a level: each tour's columns, each tour checked once."""
     return [_tour_columns(n, _check_htp(n, p)) for p in perms]
+
+
+def _lift_columns(n: int, columns: Iterable[list[int]]) -> list[list[int]]:
+    """The order-n columns of lifted rows, from their order n-1 columns.
+
+    One old -> new table maps each order n-1 edge through lift_pivot; the
+    lift adds the finish edge (n, 0, n) on day n.
+    """
+    remap = [edge_index(n, lift_pivot(n, edge_from_index(n - 1, k)))
+             for k in range(edge_count(n - 1))]
+    finish = edge_index(n, Edge(n, 0, n))
+    return [[remap[c] for c in cols] + [finish] for cols in columns]
 
 
 def _greedy_ut_order(n: int, columns: Sequence[list[int]]) -> list[int] | None:
@@ -463,13 +489,47 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
     return _complete(n, base_perms, _columns(n, base_perms), target, seed)
 
 
+def _partial(m: int, perms: list[tuple[int, ...]], columns: list[list[int]]
+             ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Order m's families, then the rows of order m-1 lifted, and their columns."""
+    families = induction_families(m)
+    # The rows of order m-1 are already checked, so lift them directly.
+    return (families + [q + (m,) for q in perms],
+            _columns(m, families) + _lift_columns(m, columns))
+
+
+def _inner_level(m: int, perms: list[tuple[int, ...]], columns: list[list[int]]
+                 ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """Order m's rows, greedily ordered, and their columns, from order m-1's.
+
+    The level stacks the families, the rows of order m-1 lifted and the
+    completion rows, then orders them so each row owns a private pivot.
+    That order proves the rows independent, and their count is the
+    target, so no elimination runs.  A count off the target raises
+    CompletionError at "candidate search", a stall at "ordering".
+    """
+    level_perms, level_columns = _partial(m, perms, columns)
+    pool = _completion_pool(m)
+    level_perms += pool
+    level_columns += _columns(m, pool)
+    target = dimension_upper_bound(m)
+    if len(level_perms) != target:
+        raise CompletionError(len(level_perms), target, "candidate search")
+    order = _greedy_ut_order(m, level_columns)
+    if order is None:
+        raise CompletionError(len(level_perms), target, "ordering")
+    return [level_perms[i] for i in order], [level_columns[i] for i in order]
+
+
 def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Certified upper-triangular basis with n(n-1)(n-2)+1 rows, n >= 5.
 
-    Recursive: families with city n on day 1 first, then the lifted
-    previous basis, then completion rows; the completion engine owns the
-    final ordering and certification.  Each level turns every tour into
-    its columns once.  seed is recorded in the certificate and changes no
+    A loop from order 6 to n.  Each order stacks the families with city
+    n on day 1, the previous order's rows lifted and the completion rows.
+    Below n a greedy order alone proves each level independent; at n the
+    completion engine runs the one exact elimination, orders the rows and
+    certifies them.  Lifted rows take their columns from the previous
+    order's table.  seed is recorded in the certificate and changes no
     row.
     """
     if n < 5:
@@ -477,23 +537,30 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     t0 = time.monotonic()
     if n == 5:
         return base_basis_5()
-    previous = build(n - 1, seed)
-    families = induction_families(n)
-    lifted = [lift(q) for q in previous.perms()]
-    partial_perms = families + lifted
-    columns = _columns(n, partial_perms)
-    pivots = _pivot_sequence(n, partial_perms, columns.__getitem__)
+    base = _base5_rows()
+    perms = [r.htp for r in base]
+    columns = _columns(5, perms)
+    for m in range(6, n):
+        perms, columns = _inner_level(m, perms, columns)
+
+    partial_perms, partial_columns = _partial(n, perms, columns)
+    families = len(partial_perms) - len(perms)
+    pivots = _pivot_sequence(n, partial_perms, partial_columns.__getitem__)
 
     # How many lifted rows kept the pivot inherited through the lift.
+    if n == 6:
+        previous_pivots = [r.pivot for r in base]
+    else:
+        previous_pivots = _pivot_sequence(n - 1, perms, columns.__getitem__)
     inherited = sum(
-        1 for offset, row in enumerate(previous.rows)
-        if pivots[len(families) + offset] == lift_pivot(n, row.pivot))
+        1 for offset, pivot in enumerate(previous_pivots)
+        if pivots[families + offset] == lift_pivot(n, pivot))
 
     # Distinct private pivots prove the partial rows independent; the
     # completed rows get an exact elimination as well.
-    result = _complete(n, partial_perms, columns, dimension_upper_bound(n), seed)
+    result = _complete(n, partial_perms, partial_columns, dimension_upper_bound(n), seed)
     result.certificate.elapsed = time.monotonic() - t0
-    result.certificate.details.update({"families": len(families), "lifted": len(lifted),
+    result.certificate.details.update({"families": families, "lifted": len(perms),
                                        "lifted_pivots_inherited": inherited})
     return result
 

@@ -26,7 +26,7 @@ from htpbasis.basis import (
     lift_pivot,
     verify_upper_triangular,
 )
-from htpbasis.linalg import ModularEchelon, inner_product, rank
+from htpbasis.linalg import IntegerEchelon, ModularEchelon, inner_product, rank
 from htpbasis.timegraph import (Edge, _tour_columns, all_edges, edge_count, edge_index,
                                 htp_edges, htp_vector)
 
@@ -316,8 +316,54 @@ def test_build_turns_each_tour_into_columns_once_per_level(monkeypatch):
     monkeypatch.setattr(timegraph_mod, "_tour_columns", spy)
     monkeypatch.setattr(basis_mod, "_tour_columns", spy)
     build(10)
-    # 1895 rows over the levels 6..10, plus three passes over the 61 rows of order 5.
-    assert len(calls) <= 2100
+    # Families and completion rows of the levels 6..10 (250 + 410 tours)
+    # plus three passes over the 61 rows of order 5; lifted rows are
+    # remapped from the previous level's columns.
+    assert len(calls) == 843
+
+
+def test_build_runs_one_exact_elimination(monkeypatch):
+    probes, echelons = [], []
+    probe, init = basis_mod._probe_candidates, IntegerEchelon.__init__
+
+    def probe_spy(n, *args):
+        probes.append(n)
+        return probe(n, *args)
+
+    def init_spy(self, dim, *args, **kwargs):
+        echelons.append(dim)
+        init(self, dim, *args, **kwargs)
+
+    monkeypatch.setattr(basis_mod, "_probe_candidates", probe_spy)
+    monkeypatch.setattr(IntegerEchelon, "__init__", init_spy)
+    assert build(10).certified
+    assert probes == [10]
+    assert echelons == [edge_count(10)]
+
+
+def _fault_at_order_seven(monkeypatch, fault):
+    pool = basis_mod._completion_pool
+    monkeypatch.setattr(basis_mod, "_completion_pool",
+                        lambda n: fault(pool(n)) if n == 7 else pool(n))
+
+
+def test_inner_level_with_a_dependent_row_has_no_order(built_bases, monkeypatch):
+    # The lift of an order-6 tour outside the order-6 basis lies in the
+    # span of the lifted rows: dependent rows have no upper-triangular order.
+    extra = lift(next(q for q in permutations(range(1, 7)) if q not in built_bases[6].perms()))
+    _fault_at_order_seven(monkeypatch, lambda rows: [extra] + rows[1:])
+    with pytest.raises(CompletionError) as exc:
+        build(8)
+    assert exc.value.stage == "ordering"
+    assert exc.value.achieved == exc.value.target == 211
+
+
+def test_inner_level_short_of_the_target_fails_in_count(monkeypatch):
+    _fault_at_order_seven(monkeypatch, lambda rows: rows[:-1])
+    with pytest.raises(CompletionError) as exc:
+        build(8)
+    assert exc.value.stage == "candidate search"
+    assert exc.value.achieved == 210 < exc.value.target == 211
 
 
 def test_complete_basis_requires_certified_partial():
@@ -366,6 +412,7 @@ GOLDEN_BASIS_SHA256 = {
     8: "c4edf31320df8a7feacedc35b69c8ced16120cbf810a9ecd46ea82e2b4a865a2",
     9: "0a1ed3c9aef163fb0cdd97fac431c5652602fba7a7ec8bf5e06c5ffe778c7637",
     10: "9bb40c990a2164fc96ee83238f51a981a6aa41e9064d7e112754c66f6d8dbae8",
+    16: "feefe0024a432259fa9f6316e742074451dcccce926e935e301d160649ed3dd7",
 }
 
 
@@ -384,6 +431,13 @@ def test_build_ten_matches_golden_hash():
     assert b10.certified
     assert len(b10) == dimension_upper_bound(10)
     assert _text_sha256(b10) == GOLDEN_BASIS_SHA256[10]
+
+
+def test_build_sixteen_matches_golden_hash():
+    # Pins every level of the chain from order 6 to 16.
+    b16 = build(16)
+    assert b16.certified
+    assert _text_sha256(b16) == GOLDEN_BASIS_SHA256[16]
 
 
 # -- greedy pivot order ---------------------------------------------------------
