@@ -6,7 +6,8 @@ inspection of the pivot columns, no arithmetic required.  The builder
 produces a certified sequence of exactly n(n-1)(n-2)+1 tours for any
 n >= 5:
 
-* order 5 is the embedded 61-row table (base5.py);
+* order 5 is the embedded 61-row table (base5.py), whose table pivots
+  are private;
 * each later order starts from structured families that park city n on
   day 1, appends the previous basis lifted by parking city n on day n,
   and fills the remaining rank deficit with explicit completion rows
@@ -260,11 +261,11 @@ def _pivot_violation(n: int, rows: Sequence[PivotedHtp]) -> tuple[int, int] | No
 # base case
 # --------------------------------------------------------------------------
 
-def _base5_rows() -> tuple[PivotedHtp, ...]:
-    """The embedded 61 order-5 rows with their table pivots, self-checked.
+def base_basis_5() -> UpperTriangularBasis:
+    """The embedded 61-row order-5 basis, self-checked.
 
-    The rows must be distinct tours whose pivots are private, which alone
-    proves them independent.
+    The rows must be distinct tours whose table pivots are private, which
+    alone proves them independent: the certificate's rank is their count.
     """
     n = 5
     perms = [p for p, _ in BASE5_ROWS]
@@ -280,16 +281,9 @@ def _base5_rows() -> tuple[PivotedHtp, ...]:
     if violation is not None:
         raise ValueError(f"embedded base data corrupt: pivot of row {violation[0]} "
                          f"is not private (row {violation[1]})")
-    return rows
-
-
-def base_basis_5() -> UpperTriangularBasis:
-    """The embedded 61-row order-5 basis, self-checked and rank-certified."""
-    rows = _base5_rows()
-    measured = linalg.rank([htp_vector(5, r.htp) for r in rows])
-    cert = BuildCertificate(pivot_check=True, rank=measured, target=61,
+    cert = BuildCertificate(pivot_check=True, rank=len(rows), target=61,
                             details={"source": "embedded order-5 table"})
-    return UpperTriangularBasis(5, rows, cert)
+    return UpperTriangularBasis(n, rows, cert)
 
 
 # --------------------------------------------------------------------------
@@ -524,9 +518,10 @@ def _inner_level(m: int, perms: list[tuple[int, ...]], columns: list[list[int]]
 def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Certified upper-triangular basis with n(n-1)(n-2)+1 rows, n >= 5.
 
-    A loop from order 6 to n.  Each order stacks the families with city
-    n on day 1, the previous order's rows lifted and the completion rows.
-    Below n a greedy order alone proves each level independent; at n the
+    A loop from order 6 to n over the rows of build(5), the embedded
+    table.  Each order stacks the families with city n on day 1, the
+    previous order's rows lifted and the completion rows.  Below n a
+    greedy order alone proves each level independent; at n the
     completion engine runs the one exact elimination, orders the rows and
     certifies them.  Lifted rows take their columns from the previous
     order's table.  seed is recorded in the certificate and changes no
@@ -537,7 +532,7 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     t0 = time.monotonic()
     if n == 5:
         return base_basis_5()
-    base = _base5_rows()
+    base = build(5).rows
     perms = [r.htp for r in base]
     columns = _columns(5, perms)
     for m in range(6, n):

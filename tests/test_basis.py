@@ -299,7 +299,7 @@ def test_complete_basis_skips_a_pool_tour_already_in_the_span(base5, monkeypatch
     assert verify_upper_triangular(full).passed
 
 
-@pytest.mark.parametrize("n", [6, 7, 8, 9])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
 def test_certificate_rank_is_the_exact_rank_of_the_rows(built_bases, n):
     vectors = built_bases[n].vectors()
     for order in ("low", "high"):
