@@ -13,19 +13,18 @@ n >= 5:
   and fills the remaining rank deficit with explicit completion rows
   that park city n on an interior day between fixed neighbours, one row
   per unit of the deficit;
-* below the requested order, a greedy reordering that gives every row a
-  private pivot edge proves the level independent, and its row count is
-  the target, so no inner level runs an elimination;
-* at the requested order, one exact elimination over Z, seeded with the
-  families and lifted rows, confirms that each completion row raises the
-  rank and measures the exact rank of the full set, which is then
-  reordered greedily.  The certificate joins the two independent
-  arguments: the private pivots and the exact rank.
+* every order checks that its row count is the target and reorders the
+  rows greedily so each owns a private pivot edge, which proves them
+  independent, so no lower order runs an elimination;
+* the requested order first runs one exact elimination over Z, seeded
+  with the families and lifted rows, that measures the exact rank of
+  the full set; one pivot sweep over the ordered rows names their
+  private pivots.  The certificate joins the two independent arguments.
 
 Families and completion rows are turned into their columns once; lifted
 rows take theirs from the previous level's table through one old -> new
 column map.  Each table serves the greedy order, and at the requested
-order both pivot sweeps and the elimination.
+order the elimination and the pivot sweep.
 
 No step is random.  The seed that build() takes is recorded in the
 certificate and changes no row.
@@ -433,30 +432,24 @@ def _probe_candidates(n: int, base_columns: Sequence[list[int]],
     return added, ech.rank
 
 
-def _complete(n: int, base_perms: list[tuple[int, ...]], base_columns: list[list[int]],
-              target: int, seed: int) -> UpperTriangularBasis:
-    """complete_basis on partial rows whose column table is already known."""
-    t0 = time.monotonic()
-    pool = _completion_pool(n)
-    pool_columns = _columns(n, pool)
-    added, achieved = _probe_candidates(n, base_columns, pool_columns, target)
-    if achieved < target:
-        raise CompletionError(achieved, target, "candidate search")
-    all_perms = base_perms + [pool[i] for i in added]
-    all_columns = base_columns + [pool_columns[i] for i in added]
-    order = _greedy_ut_order(n, all_columns)
+def _ut_ordered(n: int, perms: list, columns: list[list[int]], achieved: int, target: int):
+    """perms and columns in greedy order; a stall raises CompletionError at "ordering"."""
+    order = _greedy_ut_order(n, columns)
     if order is None:
         raise CompletionError(achieved, target, "ordering")
+    return [perms[i] for i in order], [columns[i] for i in order]
 
-    ordered = [all_perms[i] for i in order]
-    pivots = _pivot_sequence(n, ordered, lambda idx: all_columns[order[idx]])
-    cert = BuildCertificate(
-        pivot_check=True, rank=achieved, target=target, seed=seed,
-        elapsed=time.monotonic() - t0,
-        details={"added": len(added), "partial_rows": len(base_perms)},
-    )
-    rows = tuple(PivotedHtp(p, piv) for p, piv in zip(ordered, pivots))
-    return UpperTriangularBasis(n, rows, cert)
+
+def _certified(n: int, perms: list, columns: list[list[int]], achieved: int, target: int,
+               seed: int, t0: float, details: dict) -> UpperTriangularBasis:
+    """Rows of exact rank achieved, greedily ordered, with private pivots and certificate."""
+    if achieved < target:
+        raise CompletionError(achieved, target, "candidate search")
+    perms, columns = _ut_ordered(n, perms, columns, achieved, target)
+    pivots = _pivot_sequence(n, perms, columns.__getitem__)
+    cert = BuildCertificate(pivot_check=True, rank=achieved, target=target, seed=seed,
+                            elapsed=time.monotonic() - t0, details=details)
+    return UpperTriangularBasis(n, tuple(map(PivotedHtp, perms, pivots)), cert)
 
 
 def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
@@ -479,85 +472,53 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
         return partial
     if len(partial) > target:
         raise ValueError(f"partial already has {len(partial)} rows > target {target}")
+    t0 = time.monotonic()
     base_perms = partial.perms()
-    return _complete(n, base_perms, _columns(n, base_perms), target, seed)
-
-
-def _partial(m: int, perms: list[tuple[int, ...]], columns: list[list[int]]
-             ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Order m's families, then the rows of order m-1 lifted, and their columns."""
-    families = induction_families(m)
-    # The rows of order m-1 are already checked, so lift them directly.
-    return (families + [q + (m,) for q in perms],
-            _columns(m, families) + _lift_columns(m, columns))
-
-
-def _inner_level(m: int, perms: list[tuple[int, ...]], columns: list[list[int]]
-                 ) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-    """Order m's rows, greedily ordered, and their columns, from order m-1's.
-
-    The level stacks the families, the rows of order m-1 lifted and the
-    completion rows, then orders them so each row owns a private pivot.
-    That order proves the rows independent, and their count is the
-    target, so no elimination runs.  A count off the target raises
-    CompletionError at "candidate search", a stall at "ordering".
-    """
-    level_perms, level_columns = _partial(m, perms, columns)
-    pool = _completion_pool(m)
-    level_perms += pool
-    level_columns += _columns(m, pool)
-    target = dimension_upper_bound(m)
-    if len(level_perms) != target:
-        raise CompletionError(len(level_perms), target, "candidate search")
-    order = _greedy_ut_order(m, level_columns)
-    if order is None:
-        raise CompletionError(len(level_perms), target, "ordering")
-    return [level_perms[i] for i in order], [level_columns[i] for i in order]
+    base_columns = _columns(n, base_perms)
+    pool = _completion_pool(n)
+    pool_columns = _columns(n, pool)
+    added, achieved = _probe_candidates(n, base_columns, pool_columns, target)
+    return _certified(n, base_perms + [pool[i] for i in added],
+                      base_columns + [pool_columns[i] for i in added],
+                      achieved, target, seed, t0,
+                      {"added": len(added), "partial_rows": len(base_perms)})
 
 
 def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Certified upper-triangular basis with n(n-1)(n-2)+1 rows, n >= 5.
 
     A loop from order 6 to n over the rows of build(5), the embedded
-    table.  Each order stacks the families with city n on day 1, the
-    previous order's rows lifted and the completion rows.  Below n a
-    greedy order alone proves each level independent; at n the
-    completion engine runs the one exact elimination, orders the rows and
-    certifies them.  Lifted rows take their columns from the previous
-    order's table.  seed is recorded in the certificate and changes no
-    row.
+    table.  Each order stacks the families, the previous order's rows
+    lifted and the completion rows, checks their count against the
+    target and orders them greedily.  Order n first runs the one exact
+    elimination; its certificate joins that rank and the private pivots.
+    seed is recorded in the certificate and changes no row.
     """
     if n < 5:
         raise ValueError(f"basis construction starts at order 5, got {n}")
-    t0 = time.monotonic()
     if n == 5:
         return base_basis_5()
-    base = build(5).rows
-    perms = [r.htp for r in base]
+    t0 = time.monotonic()
+    perms = build(5).perms()
     columns = _columns(5, perms)
-    for m in range(6, n):
-        perms, columns = _inner_level(m, perms, columns)
-
-    partial_perms, partial_columns = _partial(n, perms, columns)
-    families = len(partial_perms) - len(perms)
-    pivots = _pivot_sequence(n, partial_perms, partial_columns.__getitem__)
-
-    # How many lifted rows kept the pivot inherited through the lift.
-    if n == 6:
-        previous_pivots = [r.pivot for r in base]
-    else:
-        previous_pivots = _pivot_sequence(n - 1, perms, columns.__getitem__)
-    inherited = sum(
-        1 for offset, pivot in enumerate(previous_pivots)
-        if pivots[families + offset] == lift_pivot(n, pivot))
-
-    # Distinct private pivots prove the partial rows independent; the
-    # completed rows get an exact elimination as well.
-    result = _complete(n, partial_perms, partial_columns, dimension_upper_bound(n), seed)
-    result.certificate.elapsed = time.monotonic() - t0
-    result.certificate.details.update({"families": families, "lifted": len(perms),
-                                       "lifted_pivots_inherited": inherited})
-    return result
+    for m in range(6, n + 1):
+        families = induction_families(m)
+        pool = _completion_pool(m)
+        lifted = len(perms)
+        base_columns = _columns(m, families) + _lift_columns(m, columns)
+        pool_columns = _columns(m, pool)
+        # The rows of order m-1 are already checked, so lift them directly.
+        perms = families + [q + (m,) for q in perms] + pool
+        columns = base_columns + pool_columns
+        target = dimension_upper_bound(m)
+        if len(perms) != target:
+            raise CompletionError(len(perms), target, "candidate search")
+        if m < n:
+            perms, columns = _ut_ordered(m, perms, columns, target, target)
+    added, achieved = _probe_candidates(n, base_columns, pool_columns, target)
+    return _certified(n, perms, columns, achieved, target, seed, t0,
+                      {"added": len(added), "partial_rows": len(base_columns),
+                       "families": len(families), "lifted": lifted})
 
 
 # --------------------------------------------------------------------------

@@ -347,15 +347,21 @@ def _fault_at_order_seven(monkeypatch, fault):
                         lambda n: fault(pool(n)) if n == 7 else pool(n))
 
 
-def test_inner_level_with_a_dependent_row_has_no_order(built_bases, monkeypatch):
+@pytest.mark.parametrize("n, stage, achieved", [
+    (7, "candidate search", 210),  # order 7 requested: its elimination falls short
+    (8, "ordering", 211),  # order 7 inner: its count is right, but no order exists
+], ids=["7", "8"])
+def test_inner_level_with_a_dependent_row_has_no_order(built_bases, monkeypatch,
+                                                        n, stage, achieved):
     # The lift of an order-6 tour outside the order-6 basis lies in the
     # span of the lifted rows: dependent rows have no upper-triangular order.
     extra = lift(next(q for q in permutations(range(1, 7)) if q not in built_bases[6].perms()))
     _fault_at_order_seven(monkeypatch, lambda rows: [extra] + rows[1:])
     with pytest.raises(CompletionError) as exc:
-        build(8)
-    assert exc.value.stage == "ordering"
-    assert exc.value.achieved == exc.value.target == 211
+        build(n)
+    assert exc.value.stage == stage
+    assert exc.value.achieved == achieved
+    assert exc.value.target == 211
 
 
 def test_inner_level_short_of_the_target_fails_in_count(monkeypatch):
@@ -401,6 +407,21 @@ def test_build_is_deterministic(built_bases):
     again = build(6)
     assert again.perms() == built_bases[6].perms()
     assert [r.pivot for r in again.rows] == [r.pivot for r in built_bases[6].rows]
+    # The seed is recorded in the certificate and changes no row.
+    seeded = build(7, seed=5)
+    assert seeded.to_text() == built_bases[7].to_text()
+    assert seeded.certificate.seed == 5
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_build_certificate_details(built_bases, n):
+    details = built_bases[n].certificate.details
+    assert set(details) == {"added", "partial_rows", "families", "lifted"}
+    assert details["families"] == (n - 1) ** 2 - 1
+    assert details["lifted"] == dimension_upper_bound(n - 1)
+    assert details["partial_rows"] == details["families"] + details["lifted"]
+    assert details["added"] == (n - 2) * (2 * n - 3)
+    assert details["partial_rows"] + details["added"] == dimension_upper_bound(n)
 
 
 # SHA-256 of build(n).to_text() at the default seed.  Any change to the
