@@ -24,7 +24,8 @@ n >= 5:
 Families and completion rows are turned into their columns once; lifted
 rows take theirs from the previous level's table through one old -> new
 column map.  Each table serves the greedy order, and at the requested
-order the elimination and the pivot sweep.
+order the elimination and the pivot sweep.  base_basis_5 and
+verify_upper_triangular also read one column table each.
 
 No step is random.  The seed that build() takes is recorded in the
 certificate and changes no row.
@@ -35,9 +36,8 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from . import linalg
 from .annihilators import dimension_upper_bound
 from .base5 import BASE5_ROWS
 from .linalg import EdgeVector, IntegerEchelon
@@ -194,28 +194,27 @@ class UpperTriangularBasis:
 # pivots
 # --------------------------------------------------------------------------
 
-def _backward_sweep(size: int, columns_of: Callable[[int], list[int]]) -> Iterator[tuple]:
-    """Yield (row index, its columns, later) for each row, the last row first.
+def _backward_sweep(columns: Sequence[list[int]]) -> Iterator[tuple]:
+    """Yield (row index, its columns, later) per row of a table, the last first.
 
-    columns_of(idx) gives the columns of row idx.  later maps each column
-    used after the row to the lowest later row that uses it.  The mapping
-    is shared and updated once the caller moves on, so the whole sweep is
-    linear in the edges listed.
+    later maps each column used after the row to the lowest later row that
+    uses it.  The mapping is shared and updated once the caller moves on,
+    so the whole sweep is linear in the columns listed.
     """
     later: dict[int, int] = {}
-    for idx in range(size - 1, -1, -1):
-        cols = columns_of(idx)
+    for idx in range(len(columns) - 1, -1, -1):
+        cols = columns[idx]
         yield idx, cols, later
         for c in cols:
             later[c] = idx
 
 
 def _pivot_sequence(n: int, perms: Sequence[tuple[int, ...]],
-                    columns_of: Callable[[int], list[int]]) -> list[Edge]:
-    """find_pivot_sequence on rows whose columns columns_of(idx) gives."""
+                    columns: Sequence[list[int]]) -> list[Edge]:
+    """find_pivot_sequence on rows whose column table is given."""
     pivots: list[Edge | None] = [None] * len(perms)
     first_bad: int | None = None
-    for idx, cols, later in _backward_sweep(len(perms), columns_of):
+    for idx, cols, later in _backward_sweep(columns):
         free = [c for c in cols if c not in later]
         if free:
             pivots[idx] = edge_from_index(n, min(free))
@@ -233,18 +232,18 @@ def find_pivot_sequence(n: int, perms: Sequence[tuple[int, ...]]) -> list[Edge]:
     order; the resulting pivots are automatically pairwise distinct.
     Raises PivotError naming the first row without an admissible edge.
     """
-    return _pivot_sequence(n, perms, lambda idx: _tour_columns(n, _check_htp(n, perms[idx])))
+    return _pivot_sequence(n, perms, _columns(n, perms))
 
 
-def _pivot_violation(n: int, rows: Sequence[PivotedHtp]) -> tuple[int, int] | None:
+def _pivot_violation(n: int, rows: Sequence[PivotedHtp],
+                     columns: Sequence[list[int]]) -> tuple[int, int] | None:
     """First (i, j) with i < j where row j uses row i's pivot, else None.
 
-    (i, i) means row i does not use its own pivot, which covers a pivot
-    that is no edge of the order-n time graph at all.
+    columns is the rows' table.  (i, i) means row i does not use its own
+    pivot, which covers a pivot that is no edge of the order-n time graph.
     """
     found = None
-    sweep = _backward_sweep(len(rows), lambda idx: _tour_columns(n, _check_htp(n, rows[idx].htp)))
-    for idx, cols, later in sweep:
+    for idx, cols, later in _backward_sweep(columns):
         try:
             pivot = edge_index(n, rows[idx].pivot)
         except ValueError:
@@ -273,10 +272,11 @@ def base_basis_5() -> UpperTriangularBasis:
     for p in perms:
         if not _is_permutation(n, p):
             raise ValueError(f"embedded base data corrupt: non-permutation {p}")
+    columns = _columns(n, perms)
     # Column t of a tour is its edge leaving day t.
-    pivots = [edge_from_index(n, _tour_columns(n, p)[day]) for p, day in BASE5_ROWS]
-    rows = tuple(PivotedHtp(p, piv) for p, piv in zip(perms, pivots))
-    violation = _pivot_violation(n, rows)
+    rows = tuple(PivotedHtp(p, edge_from_index(n, cols[day]))
+                 for (p, day), cols in zip(BASE5_ROWS, columns))
+    violation = _pivot_violation(n, rows, columns)
     if violation is not None:
         raise ValueError(f"embedded base data corrupt: pivot of row {violation[0]} "
                          f"is not private (row {violation[1]})")
@@ -357,7 +357,7 @@ def _completion_pool(n: int) -> list[tuple[int, ...]]:
 
 
 def _columns(n: int, perms: Iterable[Sequence[int]]) -> list[list[int]]:
-    """The column table of a level: each tour's columns, each tour checked once."""
+    """The column table of a list of tours: each tour's columns, each tour checked once."""
     return [_tour_columns(n, _check_htp(n, p)) for p in perms]
 
 
@@ -446,7 +446,7 @@ def _certified(n: int, perms: list, columns: list[list[int]], achieved: int, tar
     if achieved < target:
         raise CompletionError(achieved, target, "candidate search")
     perms, columns = _ut_ordered(n, perms, columns, achieved, target)
-    pivots = _pivot_sequence(n, perms, columns.__getitem__)
+    pivots = _pivot_sequence(n, perms, columns)
     cert = BuildCertificate(pivot_check=True, rank=achieved, target=target, seed=seed,
                             elapsed=time.monotonic() - t0, details=details)
     return UpperTriangularBasis(n, tuple(map(PivotedHtp, perms, pivots)), cert)
@@ -526,7 +526,8 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
 # --------------------------------------------------------------------------
 
 def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
-    """Full recheck of a basis: structure, pivots, and independent exact rank."""
+    """Full recheck of a basis: structure, private pivots and an exact 'high'
+    rank over Z that does not trust them, both read off one column table."""
     t0 = time.monotonic()
     n = basis.n
     report = Report(
@@ -552,7 +553,8 @@ def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
         report.elapsed = time.monotonic() - t0
         return report
 
-    violation = _pivot_violation(n, basis.rows)
+    columns = _columns(n, basis.perms())
+    violation = _pivot_violation(n, basis.rows, columns)
     if violation is None:
         report.add("pivot edges are private to their rows", True)
     elif violation[0] == violation[1]:
@@ -562,7 +564,8 @@ def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
         report.add("pivot edges are private to their rows", False,
                    detail=f"row {violation[1]} reuses the pivot of row {violation[0]}")
 
-    measured = linalg.rank(basis.vectors())
+    ech = IntegerEchelon(edge_count(n), pivot_order="high")
+    measured = sum(ech.add(dict.fromkeys(cols, 1)) for cols in columns)
     report.add("exact rank equals row count", measured == len(basis),
                expected=len(basis), actual=measured)
 

@@ -1,10 +1,10 @@
 """Brute-force ground truth at desk scale.
 
-Enumerates tours outright and measures the exact dimension of their span,
-independent of the basis builder: rank here scans pivots from the lowest
-column, opposite to the 'high' scan that certifies the builder's bases, so
-a builder bug cannot hide behind a mirrored code path.  Enumeration is
-capped (n! tours) unless the caller raises the cap explicitly.
+Enumerates tours outright and streams their columns, keeping no list, into
+an exact elimination of the oracle's own, independent of the basis builder:
+it scans pivots from the lowest column, opposite to the 'high' scan that
+certifies the builder's bases, so a builder bug cannot hide behind a
+mirrored code path.  Enumeration is capped unless the caller raises it.
 """
 
 from __future__ import annotations
@@ -12,9 +12,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterable, Sequence
 
-from .linalg import rank
-from .timegraph import TimeGraph, edge_count, enumerate_htps, htp_vector
+from .linalg import IntegerEchelon
+from .timegraph import TimeGraph, _check_order, _tour_columns, edge_count, enumerate_htps
 
 __all__ = [
     "DEFAULT_CAP",
@@ -53,24 +54,28 @@ def _check_cap(n: int, cap: int) -> None:
             f"pass cap={n} to override")
 
 
+def _span_report(n: int, tours: Iterable[Sequence[int]], method: str) -> DimensionReport:
+    """Count the tours as they arrive and rank their columns by a 'low' scan over Z."""
+    t0 = time.monotonic()
+    ech = IntegerEchelon(edge_count(n), pivot_order="low")
+    count = 0
+    for p in tours:
+        ech.add(dict.fromkeys(_tour_columns(n, p), 1))
+        count += 1
+    return DimensionReport(n, count, ech.rank, time.monotonic() - t0, method)
+
+
 def full_dimension(n: int, cap: int = DEFAULT_CAP) -> DimensionReport:
     """Exact dimension of the span of all n! tour vectors."""
     _check_cap(n, cap)
-    t0 = time.monotonic()
-    vectors = [htp_vector(n, p) for p in permutations(range(1, n + 1))]
-    dim = rank(vectors, pivot_order="low")
-    return DimensionReport(n, len(vectors), dim, time.monotonic() - t0,
-                           "exhaustive permutation enumeration")
+    _check_order(n)
+    return _span_report(n, permutations(range(1, n + 1)), "exhaustive permutation enumeration")
 
 
 def dimension_of(g: TimeGraph, cap: int = DEFAULT_CAP) -> DimensionReport:
     """Exact dimension of the span of the tours contained in g."""
     _check_cap(g.n, cap)
-    t0 = time.monotonic()
-    vectors = [htp_vector(g.n, p) for p in enumerate_htps(g)]
-    dim = rank(vectors, pivot_order="low")
-    return DimensionReport(g.n, len(vectors), dim, time.monotonic() - t0,
-                           "pruned layered depth-first enumeration")
+    return _span_report(g.n, enumerate_htps(g), "pruned layered depth-first enumeration")
 
 
 def is_hamiltonian(g: TimeGraph, cap: int = DEFAULT_CAP) -> bool:

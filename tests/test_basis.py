@@ -3,7 +3,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import htpbasis.basis as basis_mod
 import htpbasis.timegraph as timegraph_mod
@@ -317,9 +317,10 @@ def test_build_turns_each_tour_into_columns_once_per_level(monkeypatch):
     monkeypatch.setattr(basis_mod, "_tour_columns", spy)
     build(10)
     # Families and completion rows of the levels 6..10 (250 + 410 tours)
-    # plus three passes over the 61 rows of order 5; lifted rows are
-    # remapped from the previous level's columns.
-    assert len(calls) == 843
+    # plus two passes over the 61 rows of order 5 (base_basis_5's table
+    # and build's); lifted rows are remapped from the previous level's
+    # columns.
+    assert len(calls) == 782
 
 
 def test_build_runs_one_exact_elimination(monkeypatch):
@@ -593,10 +594,10 @@ def test_pivot_sweep_matches_references(built_bases, moved_pivot, n):
 
     violations, failures = set(), set()
     for case in cases:
-        got = _pivot_violation(n, case)
+        perms = [r.htp for r in case]
+        got = _pivot_violation(n, case, _columns(n, perms))
         assert got == _pivot_violation_by_rescan(n, case)
         violations.add(got if got is None else got[0] == got[1])
-        perms = [r.htp for r in case]
         got = _pivot_sequence_outcome(find_pivot_sequence, n, perms)
         assert got == _pivot_sequence_outcome(_find_pivot_sequence_by_set_difference, n, perms)
         failures.add(got[0] == "PivotError")
@@ -649,6 +650,86 @@ def test_random_sublists_stay_upper_triangular(base5):
         report = verify_upper_triangular(UpperTriangularBasis(5, rows))
         assert report.passed
         assert rank([htp_vector(5, r.htp) for r in rows]) == len(rows)
+
+
+def test_verify_turns_each_row_into_columns_once(built_bases, monkeypatch):
+    calls, vectors = [], []
+
+    def columns_spy(n, s):
+        calls.append(tuple(s))
+        return _tour_columns(n, s)
+
+    def vector_spy(n, perm):
+        vectors.append(perm)
+        return htp_vector(n, perm)
+
+    for mod in (timegraph_mod, basis_mod):
+        monkeypatch.setattr(mod, "_tour_columns", columns_spy)
+        monkeypatch.setattr(mod, "htp_vector", vector_spy)
+    basis = built_bases[7]
+    assert verify_upper_triangular(basis).passed
+    assert calls == basis.perms()
+    assert vectors == []
+
+
+def test_verify_rank_does_not_lean_on_the_pivot_check(base5, monkeypatch):
+    # The pivot sweep and the exact rank read one column table; with the
+    # sweep silenced, the elimination alone must still catch a repeated row.
+    lines = base5.to_text().splitlines()
+    lines[-1] = lines[3]
+    tampered = UpperTriangularBasis.from_text("\n".join(lines) + "\n")
+    monkeypatch.setattr(basis_mod, "_pivot_violation", lambda *args: None)
+    report = verify_upper_triangular(tampered)
+    failed = {c.label for c in report.checks if not c.passed}
+    assert failed == {"rows are distinct", "exact rank equals row count"}
+    check = next(c for c in report.checks if c.label == "exact rank equals row count")
+    assert (check.expected, check.actual) == (61, 60)
+
+
+# -- verification under the symmetries of the time graph -------------------------
+
+def _symmetric_image(basis, sigma, reverse):
+    """The basis under a city relabeling sigma and, if reverse, time reversal.
+
+    sigma maps (a, b, t) to (sigma a, sigma b, t) with the depot 0 fixed;
+    reversal maps (a, b, t) to (b, a, n - t), which swaps start and finish
+    edges.  Both map tours to tours and preserve which rows share an edge.
+    """
+    n = basis.n
+    city = (0,) + tuple(sigma)
+
+    def edge(e):
+        a, b = city[e.from_city], city[e.to_city]
+        return Edge(b, a, n - e.day) if reverse else Edge(a, b, e.day)
+
+    def tour(p):
+        q = tuple(city[c] for c in p)
+        return q[::-1] if reverse else q
+
+    return [PivotedHtp(tour(r.htp), edge(r.pivot)) for r in basis.rows]
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_verify_is_invariant_under_relabeling_and_reversal(built_bases, n, data):
+    sigma = data.draw(st.permutations(range(1, n + 1)), label="sigma")
+    reverse = data.draw(st.booleans(), label="reverse")
+    rows = _symmetric_image(built_bases[n], sigma, reverse)
+    assert verify_upper_triangular(UpperTriangularBasis(n, tuple(rows))).passed
+
+    # Move row i's pivot onto one of its edges that a later row j uses;
+    # the first such row at or after a drawn start, wrapping around.
+    start = data.draw(st.integers(0, len(rows) - 1), label="start")
+    edge_sets = [set(htp_edges(n, r.htp)) for r in rows]
+    i, e, j = next((i, e, j) for i in [*range(start, len(rows)), *range(start)]
+                   for e in sorted(edge_sets[i])
+                   for j in range(i + 1, len(rows)) if e in edge_sets[j])
+    rows[i] = PivotedHtp(rows[i].htp, e)
+    report = verify_upper_triangular(UpperTriangularBasis(n, tuple(rows)))
+    failed = [c for c in report.checks if not c.passed]
+    assert [(c.label, c.detail) for c in failed] == [
+        ("pivot edges are private to their rows", f"row {j} reuses the pivot of row {i}")]
 
 
 # -- serialization ----------------------------------------------------------------

@@ -1,10 +1,12 @@
 import random
 import tracemalloc
+from itertools import permutations
 
 import pytest
 
 import htpbasis.basis as basis_mod
-from htpbasis.basis import BasisFormatError, UpperTriangularBasis, verify_upper_triangular
+from htpbasis.basis import (BasisFormatError, PivotedHtp, UpperTriangularBasis, _columns,
+                            _greedy_ut_order, find_pivot_sequence, verify_upper_triangular)
 from htpbasis.cli import main
 from htpbasis.timegraph import TimeGraph, all_edges
 
@@ -82,6 +84,33 @@ def test_verify_rejects_short_basis(tmp_path, capsys):
     assert code == 1
     assert "FAIL row count equals n(n-1)(n-2)+1 (expected 121, got 111)" in out
     assert "ok   exact rank equals row count" in out
+
+
+@pytest.mark.parametrize("n, dimension", [(3, 6), (4, 23)])
+def test_verify_checks_the_row_count_below_order_five(tmp_path, capsys, n, dimension):
+    path = tmp_path / "empty.txt"
+    path.write_text(f"n {n}\nrows 0\ncertified true\n")
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert f"FAIL row count equals the brute-force dimension (expected {dimension}, got 0)" in out
+
+    # All 6 tours at order 3 and all but the first at order 4 are a basis,
+    # and a greedy order gives each row a private pivot.
+    tours = list(permutations(range(1, n + 1)))[n - 3:]
+    tours = [tours[i] for i in _greedy_ut_order(n, _columns(n, tours))]
+    rows = tuple(map(PivotedHtp, tours, find_pivot_sequence(n, tours)))
+    path.write_text(UpperTriangularBasis(n, rows).to_text())
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert f"ok   row count equals the brute-force dimension (expected {dimension}, " \
+           f"got {dimension})" in out
+
+    path.write_text(UpperTriangularBasis(n, rows[1:]).to_text())
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 1
+    assert "ok   exact rank equals row count" in out
+    assert f"FAIL row count equals the brute-force dimension (expected {dimension}, " \
+           f"got {dimension - 1})" in out
 
 
 @pytest.mark.parametrize("case", ["edge not in its row", "not an edge of K_6^T",
