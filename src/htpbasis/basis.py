@@ -41,6 +41,7 @@ from typing import Iterable, Iterator, Sequence
 from .annihilators import dimension_upper_bound
 from .base5 import BASE5_ROWS
 from .linalg import EdgeVector, IntegerEchelon
+from .oracle import full_dimension
 from .report import Report
 from .timegraph import (Edge, _check_htp, _is_permutation, _tour_columns, edge_count,
                         edge_from_index, edge_index, htp_vector)
@@ -527,7 +528,11 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
 
 def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
     """Full recheck of a basis: structure, private pivots and an exact 'high'
-    rank over Z that does not trust them, both read off one column table."""
+    rank over Z that does not trust them, both read off one column table.
+
+    params["expected_dimension"] is the dimension of the span of all tours:
+    n(n-1)(n-2)+1, or the brute-force oracle's answer below order 5.
+    """
     t0 = time.monotonic()
     n = basis.n
     report = Report(
@@ -536,7 +541,8 @@ def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
             "n": n,
             "rows": len(basis),
             "edge_count": edge_count(n),
-            "expected_dimension": dimension_upper_bound(n) if n >= 5 else None,
+            "expected_dimension": (dimension_upper_bound(n) if n >= 5
+                                   else full_dimension(n).dimension),
             "seed": basis.certificate.seed if basis.certificate else None,
         },
     )

@@ -106,12 +106,11 @@ def _cmd_verify(args, parser) -> int:
     report = verify_upper_triangular(basis)
     # Independent rows make a basis of the whole span only if there are as
     # many as its dimension; verify_upper_triangular also serves partial
-    # blocks, so the count is checked here, by brute force below order 5.
-    if basis.n >= 5:
-        label, expected = "row count equals n(n-1)(n-2)+1", dimension_upper_bound(basis.n)
-    else:
-        label = "row count equals the brute-force dimension"
-        expected = full_dimension(basis.n).dimension
+    # blocks, so the count is checked here against the dimension it reports,
+    # found by brute force below order 5.
+    expected = report.params["expected_dimension"]
+    label = ("row count equals n(n-1)(n-2)+1" if basis.n >= 5
+             else "row count equals the brute-force dimension")
     report.add(label, len(basis) == expected, expected=expected, actual=len(basis))
     print(report.render(args.format), end="")
     return 0 if report.passed else VERIFY_ERROR

@@ -6,8 +6,11 @@ one kernel, IntegerEchelon: a sparse fraction-free echelon form over Z.
 A rational row is cleared of denominators, its pivot is the lowest or the
 highest column of its residual (the pivot_order parameter), elimination
 uses gcd-reduced multipliers, and each stored row is divided by its
-content with a positive pivot entry.  No dense row is ever built, so time
-and memory follow the nonzeros present.  annihilator_basis back-substitutes
+content with a positive pivot entry.  Its one elimination loop,
+IntegerEchelon.eliminate, can stop before a given column and reports the
+scale it multiplied the row by, so the brute-force oracle clears each
+tour in stages.  No dense row is ever built, so time and memory follow
+the nonzeros present.  annihilator_basis back-substitutes
 the 'low' echelon to reduced form and reads the nullspace off it;
 orthogonalization runs on Fractions since the rationals have no square
 roots to normalize with.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Unused at run time since the modular echelon went sparse; the import
@@ -193,8 +196,8 @@ def _primitive(dim: int, entries: Mapping[int, object]) -> EdgeVector:
     return EdgeVector(dim, {k: ints[k] // g for k in sorted(ints)})
 
 
-def _eliminate(w: dict[int, int], row: Mapping[int, int], c: int) -> dict[int, int]:
-    """a*w - b*row with the smallest integers a > 0, b that clear column c.
+def _eliminate(w: dict[int, int], row: Mapping[int, int], c: int) -> tuple[dict[int, int], int]:
+    """(a*w - b*row, a) with the smallest integers a > 0, b that clear column c.
 
     w may be updated in place; the result is returned either way.
     """
@@ -209,7 +212,7 @@ def _eliminate(w: dict[int, int], row: Mapping[int, int], c: int) -> dict[int, i
             w[k] = r
         else:
             del w[k]
-    return w
+    return w, a
 
 
 def _normalized(w: Mapping[int, int], c: int) -> dict[int, int]:
@@ -248,17 +251,35 @@ class IntegerEchelon:
         -1 when the row reduces to zero, i.e. lies in the span of the rows
         added so far.
         """
-        rows, lead = self.rows, self._lead
         w = {k: x for k, x in entries.items() if x}
         if set(map(type, w.values())) - {int}:
             w = _integer_entries(w)
+        w, c, _ = self.eliminate(w)
+        return w, c
+
+    def eliminate(self, w: dict[int, int], stop: float = inf) -> tuple[dict[int, int], int, int]:
+        """Eliminate the leads of an all-int row that lie before column stop.
+
+        w holds nonzero ints only and is consumed: it may be updated in
+        place.  Returns (residual, pivot column, scale): the residual is
+        scale * w minus an integer combination of stored rows, scale > 0.
+        The pivot column is the first lead without a stored row, or -1
+        when every lead before stop was cleared.  A stop below the last
+        column only makes sense for the 'low' scan: the brute-force
+        oracle clears a tour day by day, and every lead the residual
+        still has then lies on a later day.
+        """
+        rows, lead, scale = self.rows, self._lead, 1
         while w:
             c = lead(w)
+            if c >= stop:
+                break
             row = rows.get(c)
             if row is None:
-                return w, c
-            w = _eliminate(w, row, c)
-        return w, -1
+                return w, c, scale
+            w, a = _eliminate(w, row, c)
+            scale *= a
+        return w, -1, scale
 
     def add(self, entries: Mapping[int, object]) -> bool:
         """Insert a row if independent of the current rows; report whether rank grew."""
@@ -450,7 +471,7 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
     for pc in sorted(rows, reverse=True):
         row = rows[pc]
         for q in [k for k in row if k != pc and k in rows]:
-            row = _eliminate(row, rows[q], q)
+            row, _ = _eliminate(row, rows[q], q)
         rows[pc] = _normalized(row, pc)
     # Free column fc gives 1 at fc and -row[fc]/row[pc] at each pivot pc.
     holders: dict[int, list[int]] = {}

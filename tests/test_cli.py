@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from itertools import permutations
@@ -111,6 +112,19 @@ def test_verify_checks_the_row_count_below_order_five(tmp_path, capsys, n, dimen
     assert "ok   exact rank equals row count" in out
     assert f"FAIL row count equals the brute-force dimension (expected {dimension}, " \
            f"got {dimension - 1})" in out
+
+
+@pytest.mark.parametrize("n, dimension", [(3, 6), (4, 23)])
+def test_verify_reports_the_dimension_it_checks_below_order_five(tmp_path, capsys, n, dimension):
+    path = tmp_path / "empty.txt"
+    path.write_text(f"n {n}\nrows 0\ncertified true\n")
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    report = json.loads(out)
+    count = next(c for c in report["checks"] if c["label"].startswith("row count"))
+    assert code == 1
+    assert report["params"]["expected_dimension"] == count["expected"] == dimension
+    assert verify_upper_triangular(UpperTriangularBasis.load(path)).params[
+        "expected_dimension"] == dimension
 
 
 @pytest.mark.parametrize("case", ["edge not in its row", "not an edge of K_6^T",

@@ -1,15 +1,21 @@
 import random
+from itertools import permutations
+from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from htpbasis.linalg import IntegerEchelon
 from htpbasis.oracle import (
     DimensionReport,
+    _span_echelon,
     analyze,
     dimension_of,
     full_dimension,
     is_hamiltonian,
 )
-from htpbasis.timegraph import TimeGraph, all_edges, htp_vector
+from htpbasis.timegraph import (Edge, TimeGraph, _tour_columns, all_edges, edge_count,
+                                enumerate_htps, htp_vector)
 
 
 def test_full_dimension_n4_measured_value():
@@ -114,3 +120,138 @@ def test_oracle_and_rank_scan_opposite_ends(monkeypatch):
 def test_dimension_report_bound_guard():
     with pytest.raises(ValueError):
         DimensionReport(n=5, htp_count=2, dimension=3, elapsed=0.0, method="x")
+
+
+# -- the staged elimination against one plain add per tour -----------------------
+
+def _plain_rows(n, tours):
+    ech = IntegerEchelon(edge_count(n), pivot_order="low")
+    for p in tours:
+        ech.add(dict.fromkeys(_tour_columns(n, p), 1))
+    return ech.rows
+
+
+def _staged_rows(n, tours):
+    """Rows of the staged scan, which must send only independent tours to add."""
+    accepted = []
+    add = IntegerEchelon.add
+
+    def spy(self, entries):
+        accepted.append(add(self, entries))
+        return accepted[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntegerEchelon, "add", spy)
+        ech, count = _span_echelon(n, iter(tours))
+    assert count == len(tours)
+    assert all(accepted) and len(accepted) == ech.rank
+    return ech.rows
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_staged_rows_equal_plain_adds(n):
+    tours = list(permutations(range(1, n + 1)))
+    assert _staged_rows(n, tours) == _plain_rows(n, tours)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_staged_rows_equal_plain_adds_in_shuffled_order(n):
+    # Out of lexicographic order few tours share a prefix, and stored rows
+    # get pivot entries above 1, so stages carry a scale.
+    tours = list(permutations(range(1, n + 1)))
+    random.Random(n).shuffle(tours)
+    assert _staged_rows(n, tours) == _plain_rows(n, tours)
+
+
+def test_resumed_stages_carry_their_scale(monkeypatch):
+    # A shuffled head stores rows with pivot entries above 1; the sorted
+    # tail then resumes stages that were scaled to clear them.
+    n = 6
+    tours = list(permutations(range(1, n + 1)))
+    random.Random(15).shuffle(tours)
+    tours[60:] = sorted(tours[60:])
+    scales = []
+    eliminate = IntegerEchelon.eliminate
+
+    def spy(self, w, stop=inf):
+        residual, lead, scale = eliminate(self, w, stop)
+        if lead < 0 and stop < edge_count(n):
+            scales.append(scale)
+        return residual, lead, scale
+
+    monkeypatch.setattr(IntegerEchelon, "eliminate", spy)
+    assert _staged_rows(n, tours) == _plain_rows(n, tours)
+    assert max(scales) > 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1), keep=st.floats(0.3, 0.9))
+def test_staged_rows_equal_plain_adds_on_subgraphs(n, seed, keep):
+    rng = random.Random(seed)
+    g = TimeGraph(n, frozenset(e for e in all_edges(n) if rng.random() < keep))
+    tours = list(enumerate_htps(g))
+    assert _staged_rows(n, tours) == _plain_rows(n, tours)
+
+
+def test_eliminate_carries_the_scale_of_a_pivot_entry_of_two():
+    ech = IntegerEchelon(6, pivot_order="low")
+    ech.add({0: 2, 4: 1})
+    w, lead, scale = ech.eliminate({0: 1, 2: 1}, 2)
+    assert (w, lead, scale) == ({2: 2, 4: -1}, -1, 2)
+    # The rest of the row enters at the scale the residual carries.
+    w[3] = scale
+    assert ech.eliminate(w) == (*ech.reduce({0: 1, 2: 1, 3: 1}), 1)
+
+
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_each_stage_resumes_from_a_cleared_stage(monkeypatch, shuffled):
+    # A stage is kept only when it cleared every lead before its stop, so
+    # the residual a stage starts from has no lead before the stop of the
+    # stage below it.
+    n = 6
+    calls = []
+    eliminate = IntegerEchelon.eliminate
+
+    def spy(self, w, stop=inf):
+        if stop != inf:
+            calls.append((stop, min(w, default=inf)))
+        return eliminate(self, w, stop)
+
+    monkeypatch.setattr(IntegerEchelon, "eliminate", spy)
+    tours = list(permutations(range(1, n + 1)))
+    if shuffled:
+        random.Random(1).shuffle(tours)
+    _span_echelon(n, tours)
+    stops = sorted({stop for stop, _ in calls})
+    below = dict(zip(stops, [0, *stops]))
+    assert all(lead >= below[stop] for stop, lead in calls)
+
+
+# -- invariance under the symmetries of the time graph ----------------------------
+
+def _symmetric_graph(g, sigma, reverse):
+    """g under the city relabeling sigma, (a, b, t) -> (sigma a, sigma b, t), and,
+    if reverse, day reversal, (a, b, t) -> (b, a, n - t), which swaps start and
+    finish edges."""
+    n = g.n
+    city = (0,) + tuple(sigma)
+
+    def edge(e):
+        a, b = city[e.from_city], city[e.to_city]
+        return Edge(b, a, n - e.day) if reverse else Edge(a, b, e.day)
+
+    return TimeGraph(n, frozenset(map(edge, g.edges)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_dimension_of_is_invariant_under_relabeling_and_reversal(data):
+    n = data.draw(st.integers(3, 7), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    keep = data.draw(st.floats(0.3, 0.8), label="keep")
+    sigma = data.draw(st.permutations(range(1, n + 1)), label="sigma")
+    g = TimeGraph(n, frozenset(e for e in all_edges(n) if rng.random() < keep))
+    want = dimension_of(g)
+    for image in (_symmetric_graph(g, sigma, False), _symmetric_graph(g, range(1, n + 1), True)):
+        got = dimension_of(image)
+        assert (got.htp_count, got.dimension) == (want.htp_count, want.dimension)
