@@ -7,6 +7,24 @@ scan that certifies the builder's bases, so a builder bug cannot hide
 behind a mirrored code path.  Enumeration is capped unless the caller
 raises it.
 
+Tours come from one lexicographic depth-first walk over the graph's day
+layers; full_dimension walks the complete graph, in which every edge is
+present.  The walk skips tours that cannot raise the rank.  A prefix's
+class is its set of visited cities and its last city, and the prefixes
+of one class have the same completions.  Let P' < P be two prefixes of
+one class and S0 the class's lexicographically first completion.  For
+every completion S, as incidence vectors,
+
+    P+S = (P'+S) - (P'+S0) + (P+S0),
+
+and both P' tours come before every tour that starts with P.  So once the
+first prefix of a class has been walked, a later prefix of that class
+yields only P+S0, and its other tours are counted from the class's
+memoized count without being yielded.  By induction over lexicographic
+order, the tours yielded so far span what all tours so far span, so the
+'low' scan accepts exactly the tours, and stores exactly the rows, that
+a scan of every tour would.
+
 The 'low' scan clears a tour's columns day by day, and tours arrive in
 lexicographic order, so consecutive tours share the first stages of
 their elimination.  Each tour resumes from the last stage it shares with
@@ -19,11 +37,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .linalg import IntegerEchelon
-from .timegraph import TimeGraph, _check_order, _tour_columns, edge_count, enumerate_htps
+from .timegraph import TimeGraph, _check_order, _layers, _tour_columns, edge_count, enumerate_htps
 
 __all__ = [
     "DEFAULT_CAP",
@@ -104,24 +121,72 @@ def _span_echelon(n: int, tours: Iterable[Sequence[int]]) -> tuple[IntegerEchelo
     return ech, count
 
 
-def _span_report(n: int, tours: Iterable[Sequence[int]], method: str) -> DimensionReport:
-    """Count the tours as they arrive and rank their columns by a 'low' scan over Z."""
+class _Walk:
+    """The tours of g in lexicographic order, each later prefix of a class cut
+    to its first tour; once the walk is exhausted, count is the number of
+    all tours of g."""
+
+    def __init__(self, g: TimeGraph):
+        self.n = g.n
+        self.layers = _layers(g)
+        self.count = 0
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        n = self.n
+        starts, succ, finishers = self.layers
+        # (visited cities as a bit mask, last city) -> (completions, first completion)
+        known: dict[tuple[int, int], tuple[int, tuple[int, ...] | None]] = {}
+        path: list[int] = []
+
+        def walk(city: int, day: int, visited: int) -> Iterator[tuple[int, ...]]:
+            """Yield the kept tours that start with path + [city], then record its class."""
+            path.append(city)
+            total, first = (1, ()) if day == n and city in finishers else (0, None)
+            if total:
+                yield tuple(path)
+            for nxt in succ.get((city, day), ()):
+                bit = 1 << nxt
+                if visited & bit:
+                    continue
+                cls = (visited | bit, nxt)
+                if cls in known:
+                    k, rest = known[cls]
+                    if k:
+                        yield (*path, nxt, *rest)
+                else:
+                    yield from walk(nxt, day + 1, visited | bit)
+                    k, rest = known[cls]
+                if k:
+                    total += k
+                    if first is None:
+                        first = (nxt, *rest)
+            known[visited, city] = total, first
+            path.pop()
+
+        for city in starts:
+            yield from walk(city, 1, 1 << city)
+        self.count = sum(known[1 << city, city][0] for city in starts)
+
+
+def _span_report(g: TimeGraph, method: str) -> DimensionReport:
+    """Count g's tours and rank their columns by a 'low' scan over Z."""
     t0 = time.monotonic()
-    ech, count = _span_echelon(n, tours)
-    return DimensionReport(n, count, ech.rank, time.monotonic() - t0, method)
+    walk = _Walk(g)
+    ech, _ = _span_echelon(g.n, walk)
+    return DimensionReport(g.n, walk.count, ech.rank, time.monotonic() - t0, method)
 
 
 def full_dimension(n: int, cap: int = DEFAULT_CAP) -> DimensionReport:
     """Exact dimension of the span of all n! tour vectors."""
     _check_cap(n, cap)
     _check_order(n)
-    return _span_report(n, permutations(range(1, n + 1)), "exhaustive permutation enumeration")
+    return _span_report(TimeGraph.complete(n), "exhaustive permutation enumeration")
 
 
 def dimension_of(g: TimeGraph, cap: int = DEFAULT_CAP) -> DimensionReport:
     """Exact dimension of the span of the tours contained in g."""
     _check_cap(g.n, cap)
-    return _span_report(g.n, enumerate_htps(g), "pruned layered depth-first enumeration")
+    return _span_report(g, "pruned layered depth-first enumeration")
 
 
 def is_hamiltonian(g: TimeGraph, cap: int = DEFAULT_CAP) -> bool:

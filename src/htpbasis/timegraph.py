@@ -257,13 +257,9 @@ class TimeGraph:
             fh.write(self.to_text())
 
 
-def enumerate_htps(g: TimeGraph) -> Iterator[tuple[int, ...]]:
-    """Yield every permutation whose tour lies in g, in lexicographic order.
-
-    Day-layered depth-first search: a branch dies as soon as the next edge
-    is missing, so sparse graphs enumerate far faster than filtering all n!
-    permutations.
-    """
+def _layers(g: TimeGraph) -> tuple[list[int], dict[tuple[int, int], list[int]], set[int]]:
+    """g's day layers: its start cities, the successors of each (city, day)
+    with an edge out of it, both sorted, and the cities with a finish edge."""
     n = g.n
     starts = sorted(e.to_city for e in g.edges if e.day == 0)
     finishers = {e.from_city for e in g.edges if e.day == n}
@@ -273,7 +269,18 @@ def enumerate_htps(g: TimeGraph) -> Iterator[tuple[int, ...]]:
             succ.setdefault((e.from_city, e.day), []).append(e.to_city)
     for k in succ:
         succ[k].sort()
+    return starts, succ, finishers
 
+
+def enumerate_htps(g: TimeGraph) -> Iterator[tuple[int, ...]]:
+    """Yield every permutation whose tour lies in g, in lexicographic order.
+
+    Day-layered depth-first search: a branch dies as soon as the next edge
+    is missing, so sparse graphs enumerate far faster than filtering all n!
+    permutations.
+    """
+    n = g.n
+    starts, succ, finishers = _layers(g)
     path: list[int] = []
     used = [False] * (n + 1)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from htpbasis.linalg import IntegerEchelon
 from htpbasis.oracle import (
     DimensionReport,
+    _Walk,
     _span_echelon,
     analyze,
     dimension_of,
@@ -225,6 +226,33 @@ def test_each_stage_resumes_from_a_cleared_stage(monkeypatch, shuffled):
     stops = sorted({stop for stop, _ in calls})
     below = dict(zip(stops, [0, *stops]))
     assert all(lead >= below[stop] for stop, lead in calls)
+
+
+# -- the walk that cuts each repeated prefix class to its first tour ---------------
+
+def _check_walk(g):
+    """The walk's tours are a lexicographic subsequence of all tours of g, it
+    counts all of them, and a plain scan of its tours stores the same rows."""
+    walk = _Walk(g)
+    kept = list(walk)
+    tours = list(enumerate_htps(g))
+    rest = iter(tours)
+    assert all(p in rest for p in kept)
+    assert walk.count == len(tours)
+    assert _plain_rows(g.n, kept) == _plain_rows(g.n, tours)
+    return kept
+
+
+@pytest.mark.parametrize("n, kept", [(3, 6), (4, 24), (5, 90), (6, 300), (7, 910)])
+def test_walk_keeps_rows_and_count_on_complete_graphs(n, kept):
+    assert len(_check_walk(TimeGraph.complete(n))) == kept
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1), keep=st.floats(0.3, 0.95))
+def test_walk_keeps_rows_and_count_on_subgraphs(n, seed, keep):
+    rng = random.Random(seed)
+    _check_walk(TimeGraph(n, frozenset(e for e in all_edges(n) if rng.random() < keep)))
 
 
 # -- invariance under the symmetries of the time graph ----------------------------
