@@ -8,24 +8,21 @@ n >= 5:
 
 * order 5 is the embedded 61-row table (base5.py), whose table pivots
   are private;
-* each later order starts from structured families that park city n on
-  day 1, appends the previous basis lifted by parking city n on day n,
-  and fills the remaining rank deficit with explicit completion rows
-  that park city n on an interior day between fixed neighbours, one row
-  per unit of the deficit;
-* every order checks that its row count is the target and reorders the
-  rows greedily so each owns a private pivot edge, which proves them
-  independent, so no lower order runs an elimination;
-* the requested order first runs one exact elimination over Z, seeded
-  with the families and lifted rows, that measures the exact rank of
-  the full set; one pivot sweep over the ordered rows names their
-  private pivots.  The certificate joins the two independent arguments.
+* the generator _levels climbs from it: each later order stacks
+  structured families that park city n on day 1, the order below it
+  lifted by parking city n on day n, and explicit completion rows that
+  park city n on an interior day between fixed neighbours, one row per
+  unit of the rank deficit.  Each order checks its row count against the
+  target and, before the next is stacked on it, orders its rows greedily
+  so each owns a private pivot edge, which proves them independent;
+* build passes the last order to the tail it shares with complete_basis:
+  one exact elimination over Z, seeded with the partial rows, measures
+  the exact rank, and one pivot sweep over the greedily ordered rows
+  names their private pivots.  The certificate joins the two arguments.
 
 Families and completion rows are turned into their columns once; lifted
-rows take theirs from the previous level's table through one old -> new
-column map.  Each table serves the greedy order, and at the requested
-order the elimination and the pivot sweep.  base_basis_5 and
-verify_upper_triangular also read one column table each.
+rows take theirs from the order below through one old -> new column map.
+base_basis_5 and verify_upper_triangular also read one column table each.
 
 No step is random.  The seed that build() takes is recorded in the
 certificate and changes no row.
@@ -441,15 +438,20 @@ def _ut_ordered(n: int, perms: list, columns: list[list[int]], achieved: int, ta
     return [perms[i] for i in order], [columns[i] for i in order]
 
 
-def _certified(n: int, perms: list, columns: list[list[int]], achieved: int, target: int,
-               seed: int, t0: float, details: dict) -> UpperTriangularBasis:
-    """Rows of exact rank achieved, greedily ordered, with private pivots and certificate."""
+def _completed(n: int, perms: list, columns: list[list[int]], partial: int, target: int,
+               seed: int, t0: float, **details) -> UpperTriangularBasis:
+    """The first partial rows and each later row that raises the exact rank,
+    greedily ordered, with private pivots and a certificate of that rank."""
+    added, achieved = _probe_candidates(n, columns[:partial], columns[partial:], target)
     if achieved < target:
         raise CompletionError(achieved, target, "candidate search")
-    perms, columns = _ut_ordered(n, perms, columns, achieved, target)
+    keep = [*range(partial), *(partial + i for i in added)]
+    perms, columns = _ut_ordered(n, [perms[i] for i in keep], [columns[i] for i in keep],
+                                 achieved, target)
     pivots = _pivot_sequence(n, perms, columns)
     cert = BuildCertificate(pivot_check=True, rank=achieved, target=target, seed=seed,
-                            elapsed=time.monotonic() - t0, details=details)
+                            elapsed=time.monotonic() - t0,
+                            details={"added": len(added), "partial_rows": partial, **details})
     return UpperTriangularBasis(n, tuple(map(PivotedHtp, perms, pivots)), cert)
 
 
@@ -457,13 +459,11 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
                    seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Extend a certified partial basis to exactly target independent rows.
 
-    One exact elimination over Z, seeded with the partial rows, keeps
-    each completion row that raises the rank and measures the exact rank
-    of the whole set; the rows kept are then reordered by greedy
-    private-pivot extraction.  The certificate joins the two arguments:
-    a private pivot for every row and the exact rank.  A dependent partial
-    row, a rank shortfall or an ordering stall raises CompletionError;
-    there is no retry.  seed is only recorded in the certificate.
+    build's tail: one exact elimination over Z, seeded with the partial
+    rows, keeps each completion row that raises the rank; the rows kept
+    are greedily ordered so each owns a private pivot.  A dependent
+    partial row, a rank shortfall or an ordering stall raises
+    CompletionError; there is no retry.  seed is only recorded.
     """
     if partial.n != n:
         raise ValueError(f"partial basis has order {partial.n}, expected {n}")
@@ -474,52 +474,52 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
     if len(partial) > target:
         raise ValueError(f"partial already has {len(partial)} rows > target {target}")
     t0 = time.monotonic()
-    base_perms = partial.perms()
-    base_columns = _columns(n, base_perms)
-    pool = _completion_pool(n)
-    pool_columns = _columns(n, pool)
-    added, achieved = _probe_candidates(n, base_columns, pool_columns, target)
-    return _certified(n, base_perms + [pool[i] for i in added],
-                      base_columns + [pool_columns[i] for i in added],
-                      achieved, target, seed, t0,
-                      {"added": len(added), "partial_rows": len(base_perms)})
+    perms = partial.perms() + _completion_pool(n)
+    return _completed(n, perms, _columns(n, perms), len(partial), target, seed, t0)
 
 
-def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
-    """Certified upper-triangular basis with n(n-1)(n-2)+1 rows, n >= 5.
+def _levels(n: int) -> Iterator[tuple[list, list[list[int]], int, int]]:
+    """Per order m = 6..n: its rows (families, then lifted, then completion),
+    their column table and the numbers of family and lifted rows.
 
-    A loop from order 6 to n over the rows of build(5), the embedded
-    table.  Each order stacks the families, the previous order's rows
-    lifted and the completion rows, checks their count against the
-    target and orders them greedily.  Order n first runs the one exact
-    elimination; its certificate joins that rank and the private pivots.
-    seed is recorded in the certificate and changes no row.
+    An order is greedily ordered only when the next one is asked for.
     """
-    if n < 5:
-        raise ValueError(f"basis construction starts at order 5, got {n}")
-    if n == 5:
-        return base_basis_5()
-    t0 = time.monotonic()
     perms = build(5).perms()
     columns = _columns(5, perms)
     for m in range(6, n + 1):
         families = induction_families(m)
         pool = _completion_pool(m)
         lifted = len(perms)
-        base_columns = _columns(m, families) + _lift_columns(m, columns)
-        pool_columns = _columns(m, pool)
         # The rows of order m-1 are already checked, so lift them directly.
+        columns = _columns(m, families) + _lift_columns(m, columns) + _columns(m, pool)
         perms = families + [q + (m,) for q in perms] + pool
-        columns = base_columns + pool_columns
         target = dimension_upper_bound(m)
         if len(perms) != target:
             raise CompletionError(len(perms), target, "candidate search")
+        yield perms, columns, len(families), lifted
         if m < n:
             perms, columns = _ut_ordered(m, perms, columns, target, target)
-    added, achieved = _probe_candidates(n, base_columns, pool_columns, target)
-    return _certified(n, perms, columns, achieved, target, seed, t0,
-                      {"added": len(added), "partial_rows": len(base_columns),
-                       "families": len(families), "lifted": lifted})
+
+
+def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
+    """Certified upper-triangular basis with n(n-1)(n-2)+1 rows, n >= 5.
+
+    Order 5 is the embedded table.  Above it, build takes the last order
+    of _levels(n) and completes it with the tail that complete_basis runs:
+    the one exact elimination, the greedy order and the pivot sweep.
+    seed is recorded in the certificate and changes no row.
+    """
+    if n < 5:
+        raise ValueError(f"basis construction starts at order 5, got {n}")
+    if n == 5:
+        base = base_basis_5()
+        base.certificate.seed = seed
+        return base
+    t0 = time.monotonic()
+    for perms, columns, families, lifted in _levels(n):
+        pass  # each order is dropped once the next has lifted it
+    return _completed(n, perms, columns, families + lifted, dimension_upper_bound(n), seed,
+                      t0, families=families, lifted=lifted)
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ prime.  No path of the package uses it any more: the basis builder checks
 its completion rows with an exact IntegerEchelon.  It stays for the
 tests' reference probe and for the benchmark tracer, which wraps its add,
 until the benchmark reads an in-package stage trace and the class goes
-(ROADMAP items 1 and 3).  Where it is used, it is used in the sound
+(ROADMAP items 1 and 2).  Where it is used, it is used in the sound
 direction only: independence mod p implies independence over Q.
 rank() is always exact.
 """

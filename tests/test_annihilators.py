@@ -13,10 +13,11 @@ from htpbasis.annihilators import (
     verify_duality,
     vertex_annihilator,
 )
-from htpbasis.linalg import EdgeVector, inner_product, rank
+from htpbasis.linalg import EdgeVector, IntegerEchelon, inner_product, rank
 from htpbasis.report import Report
 from htpbasis.timegraph import (
     Edge,
+    all_edges,
     edge_count,
     edge_index,
     htp_vector,
@@ -188,6 +189,30 @@ def test_family_independent_of_tour_span():
     fam = annihilator_family(5)
     tours = [htp_vector(5, p) for p in permutations(range(1, 6))]
     assert rank(tours + list(fam.members())) == 61 + 29 == edge_count(5)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_family_span_is_invariant_under_relabeling_and_reversal(n):
+    fam = annihilator_family(n)
+    members = list(fam.members())
+    ech = IntegerEchelon(edge_count(n))
+    assert all(ech.add(g.entries) for g in members)
+    # One city relabeling per order, (a, b, t) -> (sigma a, sigma b, t)
+    # with the depot 0 fixed, and the day reversal (a, b, t) -> (b, a, n - t),
+    # which swaps start and finish edges; both as column -> column maps.
+    city = (0, *random.Random(n).sample(range(1, n + 1), n))
+    relabel = [edge_index(n, Edge(city[a], city[b], t)) for a, b, t in all_edges(n)]
+    reverse = [edge_index(n, Edge(b, a, n - t)) for a, b, t in all_edges(n)]
+    for image in (relabel, reverse):
+        assert all(ech.contains({image[k]: x for k, x in g.entries.items()}) for g in members)
+    assert not ech.contains({0: 1})
+    # A relabeled member is the potential form of its relabeled potential.
+    potentials = [({}, {i: 1, 0: -1}) for i in range(1, n)]
+    potentials += [({key: 1}, {}) for key in sorted(fam.vertex)]  # the order of members()
+    for g, (phi, w) in zip(members, potentials):
+        moved = {relabel[k]: x for k, x in g.entries.items()}
+        assert moved == annihilators._potential_form(
+            n, {(city[c], t): x for (c, t), x in phi.items()}, {city[c]: x for c, x in w.items()})
 
 
 # --------------------------------------------------------------------------

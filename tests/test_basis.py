@@ -342,6 +342,20 @@ def test_build_runs_one_exact_elimination(monkeypatch):
     assert echelons == [edge_count(10)]
 
 
+def test_levels_count_their_rows_by_source():
+    # Read off the generator, no spy: the column table of every order,
+    # lifted rows included, equals the columns of its tours.
+    for m, (perms, columns, families, lifted) in enumerate(basis_mod._levels(10), start=6):
+        assert families == (m - 1) ** 2 - 1
+        assert lifted == (m - 1) * (m - 2) * (m - 3) + 1
+        assert len(perms) - families - lifted == (m - 2) * (2 * m - 3)
+        assert len(perms) == len(columns) == m * (m - 1) * (m - 2) + 1
+        assert perms[:families] == induction_families(m)
+        assert perms[families + lifted:] == basis_mod._completion_pool(m)
+        assert columns == [_tour_columns(m, p) for p in perms]
+    assert m == 10
+
+
 def _fault_at_order_seven(monkeypatch, fault):
     pool = basis_mod._completion_pool
     monkeypatch.setattr(basis_mod, "_completion_pool",
@@ -408,10 +422,13 @@ def test_build_is_deterministic(built_bases):
     again = build(6)
     assert again.perms() == built_bases[6].perms()
     assert [r.pivot for r in again.rows] == [r.pivot for r in built_bases[6].rows]
-    # The seed is recorded in the certificate and changes no row.
-    seeded = build(7, seed=5)
-    assert seeded.to_text() == built_bases[7].to_text()
-    assert seeded.certificate.seed == 5
+    # The seed is recorded in the certificate and changes no row, at the
+    # embedded order 5 as above it.
+    for n in (5, 7):
+        seeded = build(n, seed=5)
+        assert seeded.to_text() == built_bases[n].to_text()
+        assert seeded.certificate.seed == 5
+    assert basis_mod.base_basis_5().certificate.seed is None
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
