@@ -270,7 +270,7 @@ def base_basis_5() -> UpperTriangularBasis:
     for p in perms:
         if not _is_permutation(n, p):
             raise ValueError(f"embedded base data corrupt: non-permutation {p}")
-    columns = _columns(n, perms)
+    columns = [_tour_columns(n, p) for p in perms]
     # Column t of a tour is its edge leaving day t.
     rows = tuple(PivotedHtp(p, edge_from_index(n, cols[day]))
                  for (p, day), cols in zip(BASE5_ROWS, columns))

@@ -266,8 +266,8 @@ class IntegerEchelon:
         The pivot column is the first lead without a stored row, or -1
         when every lead before stop was cleared.  A stop below the last
         column only makes sense for the 'low' scan: the brute-force
-        oracle clears a tour day by day, and every lead the residual
-        still has then lies on a later day.
+        oracle clears a tour day by day, and when no lead before stop is
+        free, every lead the residual still has lies on a later day.
         """
         rows, lead, scale = self.rows, self._lead, 1
         while w:

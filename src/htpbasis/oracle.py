@@ -25,12 +25,12 @@ order, the tours yielded so far span what all tours so far span, so the
 'low' scan accepts exactly the tours, and stores exactly the rows, that
 a scan of every tour would.
 
-The 'low' scan clears a tour's columns day by day, and tours arrive in
-lexicographic order, so consecutive tours share the first stages of
-their elimination.  Each tour resumes from the last stage it shares with
-the tour before it.  A tour that meets a free lead is independent and
-is added by the plain IntegerEchelon.add, so the stored rows are those
-of one plain add per tour, row for row; only the repeated work goes.
+The 'low' scan clears a tour day by day, and tours arrive in
+lexicographic order, so each tour resumes from the last stage of
+elimination it shares with the tour before it.  Rows are only added and
+leads are cleared in increasing order, so every stage, even one that
+met a free lead, took only steps a plain scan still takes: the stored
+rows are those of one plain add per tour, row for row.
 """
 
 from __future__ import annotations
@@ -84,14 +84,14 @@ def _span_echelon(n: int, tours: Iterable[Sequence[int]]) -> tuple[IntegerEchelo
 
     The scan runs in stages.  Column j of a tour is its day-j edge, and
     stage j adds it to the residual of stage j - 1 and clears the leads
-    below stops[j], the first column of day j + 1; what is left lies on
-    later days.  So stage j depends only on the tour's first j + 1
-    columns, and a tour resumes from the last stage it shares with the
-    tour before it.  n - 1 cities fix a tour, so the last stage takes
-    columns n - 2 to n at once and clears them all.  A stage that meets a
-    free lead proves the tour independent: the whole tour goes to add, as
-    a plain scan would, and the stage is not kept.  A kept stage met only
-    stored rows, which never change, so later rows leave it valid.
+    below stops[j], the first column of day j + 1, up to a free lead.
+    Stage j depends only on the tour's first j + 1 columns, so a tour
+    resumes from the last stage it shares with the tour before it; n - 1
+    cities fix a tour, so the last stage takes columns n - 2 to n.  Every
+    stage is kept: leads are cleared in increasing order and rows only
+    added, so its steps are ones a plain scan still takes.  A free lead
+    after the last stage proves the tour independent; add finds it free
+    at once in that residual and stores the row a plain add would.
     """
     dim = edge_count(n)
     ech = IntegerEchelon(dim, pivot_order="low")
@@ -104,6 +104,7 @@ def _span_echelon(n: int, tours: Iterable[Sequence[int]]) -> tuple[IntegerEchelo
         cols = _tour_columns(n, p)
         shared = next((j for j, (a, b) in enumerate(zip(cols, prev)) if a != b), len(prev))
         del stages[shared + 1:]
+        lead = -1  # a repeated tour has no stage left to run
         for j in range(len(stages) - 1, last + 1):
             w, scale = stages[j]
             w = dict(w)
@@ -112,10 +113,9 @@ def _span_echelon(n: int, tours: Iterable[Sequence[int]]) -> tuple[IntegerEchelo
                 if x:
                     w[c] = x
             w, lead, factor = ech.eliminate(w, stops[j])
-            if lead >= 0:
-                ech.add(dict.fromkeys(cols, 1))
-                break
             stages.append((w, scale * factor))
+        if lead >= 0:
+            ech.add(w)
         prev = cols
         count += 1
     return ech, count
