@@ -485,7 +485,7 @@ def _levels(n: int) -> Iterator[tuple[list, list[list[int]], int, int]]:
     An order is greedily ordered only when the next one is asked for.
     """
     perms = build(5).perms()
-    columns = _columns(5, perms)
+    columns = [_tour_columns(5, p) for p in perms]  # checked by base_basis_5
     for m in range(6, n + 1):
         families = induction_families(m)
         pool = _completion_pool(m)

@@ -3,26 +3,28 @@
 Vectors are sparse (an EdgeVector stores only its nonzero int or Fraction
 entries), and every exact rank, span and nullspace question is settled by
 one kernel, IntegerEchelon: a sparse fraction-free echelon form over Z.
-A rational row is cleared of denominators, its pivot is the lowest or the
-highest column of its residual (the pivot_order parameter), elimination
-uses gcd-reduced multipliers, and each stored row is divided by its
-content with a positive pivot entry.  Its one elimination loop,
-IntegerEchelon.eliminate, can stop before a given column and reports the
-scale it multiplied the row by, so the brute-force oracle clears each
-tour in stages.  No dense row is ever built, so time and memory follow
-the nonzeros present.  annihilator_basis back-substitutes
-the 'low' echelon to reduced form and reads the nullspace off it;
-orthogonalization runs on Fractions since the rationals have no square
-roots to normalize with.
+The kernel takes integer rows only.  The builder, verify and the
+brute-force oracle hand it tour columns as they are; rank, Subspace and
+the annihilator routines hand it EdgeVectors through one door, _echelon
+(or _row for a single vector), which checks dimensions, skips zero
+vectors and clears denominators once, only for rows holding a Fraction.
+A row's pivot is the lowest or the highest column of its residual (the
+pivot_order parameter), elimination uses gcd-reduced multipliers, and
+each stored row is divided by its content with a positive pivot entry.
+Its one elimination loop, IntegerEchelon.eliminate, can stop before a
+given column and reports the scale it multiplied the row by, so the
+brute-force oracle clears each tour in stages.  No dense row is ever
+built, so time and memory follow the nonzeros present.
+annihilator_basis back-substitutes the 'low' echelon to reduced form and
+reads the nullspace off it; orthogonalization runs on Fractions since the
+rationals have no square roots to normalize with.
 
 ModularEchelon runs the same sparse elimination modulo a fixed word-sized
-prime.  No path of the package uses it any more: the basis builder checks
-its completion rows with an exact IntegerEchelon.  It stays for the
-tests' reference probe and for the benchmark tracer, which wraps its add,
-until the benchmark reads an in-package stage trace and the class goes
-(ROADMAP items 1 and 2).  Where it is used, it is used in the sound
-direction only: independence mod p implies independence over Q.
-rank() is always exact.
+prime.  No path of the package uses it: only its own tests and the
+benchmark tracer, which wraps its add, still do, until the benchmark
+reads an in-package stage trace and the class goes (ROADMAP items 1 and
+2).  Where it is used, it is used in the sound direction only:
+independence mod p implies independence over Q.  rank() is always exact.
 """
 
 from __future__ import annotations
@@ -232,9 +234,10 @@ class IntegerEchelon:
     'high' its highest.  rank() and the builder's completion check scan
     'high', which is the faster scan on the builder's bases; Subspace,
     annihilator_basis and the brute-force oracle scan 'low', so the oracle
-    never shares the builder's elimination order.  Rows go in as sparse mappings, such as an
-    EdgeVector's entries, and are only read; a row with Fraction entries
-    is cleared of denominators in the copy that elimination works on.
+    never shares the builder's elimination order.  add and contains take
+    an integer row, a mapping column -> nonzero int, and only read it:
+    elimination works on a copy.  Rational vectors are cleared of
+    denominators before they reach the kernel, by _echelon and _row.
     """
 
     def __init__(self, dim: int, pivot_order: str = "low"):
@@ -243,19 +246,6 @@ class IntegerEchelon:
         self.dim = dim
         self._lead = min if pivot_order == "low" else max
         self.rows: dict[int, dict[int, int]] = {}
-
-    def reduce(self, entries: Mapping[int, object]) -> tuple[dict[int, int], int]:
-        """Eliminate a row against stored rows; return (residual, pivot column).
-
-        The residual is a multiple of the row over Q.  The pivot column is
-        -1 when the row reduces to zero, i.e. lies in the span of the rows
-        added so far.
-        """
-        w = {k: x for k, x in entries.items() if x}
-        if set(map(type, w.values())) - {int}:
-            w = _integer_entries(w)
-        w, c, _ = self.eliminate(w)
-        return w, c
 
     def eliminate(self, w: dict[int, int], stop: float = inf) -> tuple[dict[int, int], int, int]:
         """Eliminate the leads of an all-int row that lie before column stop.
@@ -281,16 +271,17 @@ class IntegerEchelon:
             scale *= a
         return w, -1, scale
 
-    def add(self, entries: Mapping[int, object]) -> bool:
-        """Insert a row if independent of the current rows; report whether rank grew."""
-        residual, c = self.reduce(entries)
+    def add(self, entries: Mapping[int, int]) -> bool:
+        """Insert an integer row if independent of the current rows; report whether rank grew."""
+        residual, c, _ = self.eliminate(dict(entries))
         if c < 0:
             return False
         self.rows[c] = _normalized(residual, c)
         return True
 
-    def contains(self, entries: Mapping[int, object]) -> bool:
-        return self.reduce(entries)[1] < 0
+    def contains(self, entries: Mapping[int, int]) -> bool:
+        """Whether an integer row lies in the span of the rows added so far."""
+        return self.eliminate(dict(entries))[1] < 0
 
     @property
     def rank(self) -> int:
@@ -306,8 +297,7 @@ class ModularEchelon:
     the highest column causes less fill-in than the lowest.  A set of rows
     that is independent modulo p is independent over Q, never the other
     way round: a rejected row may still be independent over Q.  No package
-    path uses it; the tests' reference probe and the benchmark tracer
-    still do.
+    path uses it; only its own tests and the benchmark tracer still do.
     """
 
     def __init__(self, dim: int, prime: int = MODULAR_PRIME):
@@ -349,15 +339,33 @@ class ModularEchelon:
         return len(self.rows)
 
 
+def _row(v: EdgeVector, dim: int) -> Mapping[int, int]:
+    """v's entries as an integer row of a dim-column echelon.
+
+    All-int entries pass as they are; Fraction entries are cleared of
+    denominators in a copy.
+    """
+    if v.dim != dim:
+        raise ValueError(f"dimension mismatch: {v.dim} != {dim}")
+    entries = v.entries
+    if set(map(type, entries.values())) - {int}:
+        return _integer_entries(entries)
+    return entries
+
+
+def _echelon(vectors: Iterable[EdgeVector], dim: int, pivot_order: str = "low") -> IntegerEchelon:
+    """The echelon form over Z of the nonzero vectors, each of dimension dim."""
+    ech = IntegerEchelon(dim, pivot_order)
+    for v in vectors:
+        if v.entries:
+            ech.add(_row(v, dim))
+    return ech
+
+
 def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "high") -> int:
     """Exact rank over Q of the given vectors."""
-    vecs = [v for v in vectors if not v.is_zero]
-    if not vecs:
-        return 0
-    ech = IntegerEchelon(_common_dim(vecs), pivot_order=pivot_order)
-    for v in vecs:
-        ech.add(v.entries)
-    return ech.rank
+    vecs = [v for v in vectors if v.entries]
+    return _echelon(vecs, vecs[0].dim, pivot_order).rank if vecs else 0
 
 
 class Subspace:
@@ -380,11 +388,7 @@ class Subspace:
 
     def _ech(self) -> IntegerEchelon:
         if self._echelon is None:
-            ech = IntegerEchelon(self.dim_ambient)
-            for g in self.generators:
-                if not g.is_zero:
-                    ech.add(g.entries)
-            self._echelon = ech
+            self._echelon = _echelon(self.generators, self.dim_ambient)
         return self._echelon
 
     @property
@@ -398,9 +402,8 @@ class Subspace:
             return True
         if not self.generators:
             return False
-        if v.dim != self.dim_ambient:
-            raise ValueError(f"dimension mismatch: {v.dim} != {self.dim_ambient}")
-        return self._ech().contains(v.entries)
+        ech = self._ech()
+        return ech.contains(_row(v, ech.dim))
 
     def echelon_vectors(self) -> list[EdgeVector]:
         """The cached reduced rows; they span exactly the generator span."""
@@ -456,14 +459,8 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
     Always returns ambient_dim - rank(generators) integer-scaled vectors,
     each with exact zero inner product against every generator.
     """
-    gens = generators.generators if isinstance(generators, Subspace) else tuple(generators)
-    gens = tuple(g for g in gens if not g.is_zero)
-    for g in gens:
-        if g.dim != ambient_dim:
-            raise ValueError(f"generator dimension {g.dim} != ambient {ambient_dim}")
-    ech = IntegerEchelon(ambient_dim)
-    for g in gens:
-        ech.add(g.entries)
+    gens = generators.generators if isinstance(generators, Subspace) else generators
+    ech = _echelon(gens, ambient_dim)
     # Back-substitute to reduced form, highest pivot first: the rows with a
     # higher pivot are already free of the other pivot columns, so clearing
     # one of them from row pc brings in none of the rest.
@@ -499,15 +496,8 @@ def annihilator_basis_gram_schmidt(generators: Iterable[EdgeVector],
     in index order, orthogonalize everything, and return the tail.  Meant
     for small ambient dimensions; the elimination route is the fast path.
     """
-    gens = [g for g in generators if not g.is_zero]
-    for g in gens:
-        if g.dim != ambient_dim:
-            raise ValueError(f"generator dimension {g.dim} != ambient {ambient_dim}")
     ech = IntegerEchelon(ambient_dim)
-    independent: list[EdgeVector] = []
-    for g in gens:
-        if ech.add(g.entries):
-            independent.append(g)
+    independent = [g for g in generators if g.entries and ech.add(_row(g, ambient_dim))]
     k = len(independent)
     extended = list(independent)
     for idx in range(ambient_dim):

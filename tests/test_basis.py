@@ -26,7 +26,7 @@ from htpbasis.basis import (
     lift_pivot,
     verify_upper_triangular,
 )
-from htpbasis.linalg import IntegerEchelon, ModularEchelon, inner_product, rank
+from htpbasis.linalg import IntegerEchelon, inner_product, rank
 from htpbasis.timegraph import (Edge, _tour_columns, all_edges, edge_count, edge_index,
                                 htp_edges, htp_vector)
 
@@ -207,8 +207,8 @@ def _all_pairs_pool(n):
 
 
 def _search_probe(n, base_perms, pool, target):
-    """Reference: add pool tours that raise the rank mod p, skip repeats, stop at target."""
-    ech = ModularEchelon(edge_count(n))
+    """Reference: add pool tours that raise the exact rank, skip repeats, stop at target."""
+    ech = IntegerEchelon(edge_count(n), pivot_order="high")
     for p in base_perms:
         assert ech.add(htp_vector(n, p).entries)
     seen = set(base_perms)

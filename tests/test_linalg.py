@@ -218,6 +218,30 @@ def test_modular_echelon_takes_sparse_rows_below_exact_rank():
     assert mod.rank == rank(vs)
 
 
+def test_integer_echelon_only_reads_the_rows_it_is_given():
+    # Against the stored rows below, the first row takes a step with
+    # multiplier 1, which _eliminate applies in place, then one with
+    # multiplier 2; the second, which lies in their span, two steps with
+    # multiplier 1; the third one step with multiplier 2.
+    for row in ({0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 3: 2, 4: 1}, {1: 1, 3: 1}):
+        for check in ("add", "contains"):
+            ech = IntegerEchelon(6)
+            assert ech.add({0: 1, 3: 1}) and ech.add({1: 2, 4: 1})
+            before = dict(row)
+            getattr(ech, check)(row)
+            assert row == before
+            assert ech.rows[0] == {0: 1, 3: 1} and ech.rows[1] == {1: 2, 4: 1}
+    # All-int EdgeVector entries reach the kernel without a copy of their own.
+    stored = [EdgeVector(6, {0: 1, 3: 1}), EdgeVector(6, {1: 2, 4: 1})]
+    probe = EdgeVector(6, {0: 1, 1: 1, 2: 1})
+    vectors = stored + [probe]
+    before = [dict(v.entries) for v in vectors]
+    assert rank(vectors) == rank(vectors, pivot_order="low") == 3
+    assert not in_span(probe, stored)
+    assert len(annihilator_basis(vectors, 6)) == 3
+    assert [v.entries for v in vectors] == before
+
+
 def test_rank_matches_gram_schmidt_of_independent_subset():
     rng = random.Random(41)
     for _ in range(20):
@@ -319,10 +343,10 @@ def _spanning_sample(n: int, seed: int, extra: int) -> list[tuple[int, ...]]:
     """Seeded tours whose span is the whole tour space, then extra dependent ones."""
     pool = list(permutations(range(1, n + 1)))
     random.Random(seed).shuffle(pool)
-    mod = ModularEchelon(edge_count(n))
+    ech = IntegerEchelon(edge_count(n))
     chosen, rest = [], []
     for p in pool:
-        if mod.rank < dimension_upper_bound(n) and mod.add(htp_vector(n, p).entries):
+        if ech.rank < dimension_upper_bound(n) and ech.add(htp_vector(n, p).entries):
             chosen.append(p)
         else:
             rest.append(p)
