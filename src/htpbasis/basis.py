@@ -40,8 +40,8 @@ from .base5 import BASE5_ROWS
 from .linalg import EdgeVector, IntegerEchelon
 from .oracle import full_dimension
 from .report import Report
-from .timegraph import (Edge, _check_htp, _is_permutation, _tour_columns, edge_count,
-                        edge_from_index, edge_index, htp_vector)
+from .timegraph import (Edge, _check_htp, _column, _is_permutation, _tour_columns, all_edges,
+                        edge_count, edge_from_index, edge_index, htp_vector)
 
 __all__ = [
     "BasisFormatError",
@@ -362,13 +362,12 @@ def _columns(n: int, perms: Iterable[Sequence[int]]) -> list[list[int]]:
 def _lift_columns(n: int, columns: Iterable[list[int]]) -> list[list[int]]:
     """The order-n columns of lifted rows, from their order n-1 columns.
 
-    One old -> new table maps each order n-1 edge through lift_pivot; the
-    lift adds the finish edge (n, 0, n) on day n.
+    One old -> new table maps each order n-1 edge as lift_pivot does: an
+    old finish edge (i, 0, n-1) becomes (i, n, n-1), the rest keep their
+    ends and day.  The lift adds the finish edge (n, 0, n) on day n.
     """
-    remap = [edge_index(n, lift_pivot(n, edge_from_index(n - 1, k)))
-             for k in range(edge_count(n - 1))]
-    finish = edge_index(n, Edge(n, 0, n))
-    return [[remap[c] for c in cols] + [finish] for cols in columns]
+    remap = [_column(n, i, j or n, t) for i, j, t in all_edges(n - 1)]
+    return [[remap[c] for c in cols] + [_column(n, n, 0, n)] for cols in columns]
 
 
 def _greedy_ut_order(n: int, columns: Sequence[list[int]]) -> list[int] | None:

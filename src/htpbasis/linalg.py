@@ -13,7 +13,7 @@ pivot_order parameter), elimination uses gcd-reduced multipliers, and
 each stored row is divided by its content with a positive pivot entry.
 Its one elimination loop, IntegerEchelon.eliminate, can stop before a
 given column and reports the scale it multiplied the row by, so the
-brute-force oracle clears each tour in stages.  No dense row is ever
+brute-force oracle clears tours in stages, one per prefix it walks.  No dense row is ever
 built, so time and memory follow the nonzeros present.
 annihilator_basis back-substitutes the 'low' echelon to reduced form and
 reads the nullspace off it; orthogonalization runs on Fractions since the
@@ -256,8 +256,10 @@ class IntegerEchelon:
         The pivot column is the first lead without a stored row, or -1
         when every lead before stop was cleared.  A stop below the last
         column only makes sense for the 'low' scan: the brute-force
-        oracle clears a tour day by day, and when no lead before stop is
-        free, every lead the residual still has lies on a later day.
+        oracle's walk clears each prefix's last edge up to the next day
+        and keeps the residual and scale on the prefix's frame for every
+        tour below it; when no lead before stop is free, every lead the
+        residual still has lies on a later day.
         """
         rows, lead, scale = self.rows, self._lead, 1
         while w:

@@ -7,40 +7,39 @@ scan that certifies the builder's bases, so a builder bug cannot hide
 behind a mirrored code path.  Enumeration is capped unless the caller
 raises it.
 
-Tours come from one lexicographic depth-first walk over the graph's day
-layers; full_dimension walks the complete graph, in which every edge is
-present.  The walk skips tours that cannot raise the rank.  A prefix's
-class is its set of visited cities and its last city, and the prefixes
-of one class have the same completions.  Let P' < P be two prefixes of
-one class and S0 the class's lexicographically first completion.  For
-every completion S, as incidence vectors,
+One lexicographic depth-first walk over the graph's day layers both
+enumerates the tours and eliminates them; full_dimension walks the
+complete graph.  The walk skips tours that cannot raise the rank.  A
+prefix's class is its set of visited cities and its last city, and the
+prefixes of one class have the same completions.  Let P' < P be two
+prefixes of one class and S0 the class's lexicographically first
+completion.  For every completion S, as incidence vectors,
 
     P+S = (P'+S) - (P'+S0) + (P+S0),
 
 and both P' tours come before every tour that starts with P.  So once the
 first prefix of a class has been walked, a later prefix of that class
-yields only P+S0, and its other tours are counted from the class's
-memoized count without being yielded.  By induction over lexicographic
-order, the tours yielded so far span what all tours so far span, so the
-'low' scan accepts exactly the tours, and stores exactly the rows, that
-a scan of every tour would.
+scans only P+S0, and its other tours are counted from the class's
+memoized count.  By induction over lexicographic order, the tours scanned
+so far span what all tours so far span, so the 'low' scan accepts exactly
+the tours, and stores exactly the rows, that a scan of every tour would.
 
-The 'low' scan clears a tour day by day, and tours arrive in
-lexicographic order, so each tour resumes from the last stage of
-elimination it shares with the tour before it.  Rows are only added and
-leads are cleared in increasing order, so every stage, even one that
-met a free lead, took only steps a plain scan still takes: the stored
-rows are those of one plain add per tour, row for row.
+The scan clears a tour day by day, and the walk's frame of each prefix
+keeps its stage of elimination, which every tour below it resumes from.
+Rows are only added and leads are cleared in increasing order, so the
+stage a tour resumes from, even one that met a free lead, took only steps
+a plain scan of that tour still takes: the stored rows are those of one
+plain add per tour, row for row.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
 
 from .linalg import IntegerEchelon
-from .timegraph import TimeGraph, _check_order, _layers, _tour_columns, edge_count, enumerate_htps
+from .timegraph import TimeGraph, _check_order, _column, _layers, edge_count, enumerate_htps
 
 __all__ = [
     "DEFAULT_CAP",
@@ -77,103 +76,84 @@ def _check_cap(n: int, cap: int) -> None:
         raise ValueError(
             f"order {n} exceeds the enumeration cap {cap} ({n}! tours); "
             f"pass cap={n} to override")
+    deepest = sys.getrecursionlimit() // 2  # the tour walks recurse once per day
+    if n > deepest:
+        raise ValueError(
+            f"order {n} is deeper than the tour walks may recurse: at most {deepest}")
 
 
-def _span_echelon(n: int, tours: Iterable[Sequence[int]]) -> tuple[IntegerEchelon, int]:
-    """The 'low' echelon of the tours' columns over Z and the number of tours.
+def _span_echelon(g: TimeGraph) -> tuple[IntegerEchelon, int]:
+    """The 'low' echelon of the columns of g's tours over Z and their number.
 
-    The scan runs in stages.  Column j of a tour is its day-j edge, and
-    stage j adds it to the residual of stage j - 1 and clears the leads
-    below stops[j], the first column of day j + 1, up to a free lead.
-    Stage j depends only on the tour's first j + 1 columns, so a tour
-    resumes from the last stage it shares with the tour before it; n - 1
-    cities fix a tour, so the last stage takes columns n - 2 to n.  Every
-    stage is kept: leads are cleared in increasing order and rows only
-    added, so its steps are ones a plain scan still takes.  A free lead
-    after the last stage proves the tour independent; add finds it free
-    at once in that residual and stores the row a plain add would.
+    The frame of a prefix ending on day d <= n - 2 holds stage d - 1: its
+    last edge, added to its parent's residual at the parent's scale, with
+    the leads below day d's first column cleared up to a free lead.  A
+    complete tour, or the tour P+S0 of a later prefix of a known class,
+    adds its remaining columns to the stage at hand and is cleared to the
+    end; add stores a residual whose lead is free as a plain add would.
     """
+    n = g.n
     dim = edge_count(n)
     ech = IntegerEchelon(dim, pivot_order="low")
-    last = n - 2
-    stops = [n + j * n * (n - 1) for j in range(last)] + [dim]
-    stages: list[tuple[dict[int, int], int]] = [({}, 1)]  # stages[j + 1]: stage j, scale
-    prev: list[int] = []
-    count = 0
-    for p in tours:
-        cols = _tour_columns(n, p)
-        shared = next((j for j, (a, b) in enumerate(zip(cols, prev)) if a != b), len(prev))
-        del stages[shared + 1:]
-        lead = -1  # a repeated tour has no stage left to run
-        for j in range(len(stages) - 1, last + 1):
-            w, scale = stages[j]
-            w = dict(w)
-            for c in cols[j:j + 1] if j < last else cols[last:]:
-                x = w.pop(c, 0) + scale
-                if x:
-                    w[c] = x
-            w, lead, factor = ech.eliminate(w, stops[j])
-            stages.append((w, scale * factor))
+    starts, succ, finishers = _layers(g)
+    # (visited cities as a bit mask, last city) -> (completions, first completion)
+    known: dict[tuple[int, int], tuple[int, tuple[int, ...] | None]] = {}
+    path = [0]  # the start, then the city of each day so far
+
+    def clear(cols: list[int], w: dict[int, int], scale: int, stop: int):
+        """Add scale at each of cols to a copy of w, then clear its leads below stop."""
+        w = dict(w)
+        for c in cols:
+            x = w.pop(c, 0) + scale
+            if x:
+                w[c] = x
+        return ech.eliminate(w, stop)
+
+    def scan(rest: list[int], day: int, w: dict[int, int], scale: int) -> None:
+        """Clear the tour path + rest from the stage (w, scale) held on day."""
+        q = path + rest + [0]
+        cols = [_column(n, q[t], q[t + 1], t) for t in range(min(day, n - 2), n + 1)]
+        w, lead, _ = clear(cols, w, scale, dim)
         if lead >= 0:
             ech.add(w)
-        prev = cols
-        count += 1
-    return ech, count
 
-
-class _Walk:
-    """The tours of g in lexicographic order, each later prefix of a class cut
-    to its first tour; once the walk is exhausted, count is the number of
-    all tours of g."""
-
-    def __init__(self, g: TimeGraph):
-        self.n = g.n
-        self.layers = _layers(g)
-        self.count = 0
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        n = self.n
-        starts, succ, finishers = self.layers
-        # (visited cities as a bit mask, last city) -> (completions, first completion)
-        known: dict[tuple[int, int], tuple[int, tuple[int, ...] | None]] = {}
-        path: list[int] = []
-
-        def walk(city: int, day: int, visited: int) -> Iterator[tuple[int, ...]]:
-            """Yield the kept tours that start with path + [city], then record its class."""
-            path.append(city)
-            total, first = (1, ()) if day == n and city in finishers else (0, None)
-            if total:
-                yield tuple(path)
-            for nxt in succ.get((city, day), ()):
-                bit = 1 << nxt
-                if visited & bit:
-                    continue
-                cls = (visited | bit, nxt)
-                if cls in known:
-                    k, rest = known[cls]
-                    if k:
-                        yield (*path, nxt, *rest)
-                else:
-                    yield from walk(nxt, day + 1, visited | bit)
-                    k, rest = known[cls]
+    def walk(day: int, visited: int, w: dict[int, int], scale: int):
+        """Scan the kept tours starting with path; return (completions, first completion)."""
+        city = path[-1]
+        if 0 < day <= n - 2:
+            stop = n + (day - 1) * n * (n - 1)
+            w, _, factor = clear([_column(n, path[-2], city, day - 1)], w, scale, stop)
+            scale *= factor
+        total, first = (1, ()) if day == n and city in finishers else (0, None)
+        if total:
+            scan([], day, w, scale)
+        for nxt in starts if day == 0 else succ.get((city, day), ()):
+            bit = 1 << nxt
+            if visited & bit:
+                continue
+            cls = (visited | bit, nxt)
+            if cls in known:
+                k, rest = known[cls]
                 if k:
-                    total += k
-                    if first is None:
-                        first = (nxt, *rest)
-            known[visited, city] = total, first
-            path.pop()
+                    scan([nxt, *rest], day, w, scale)
+            else:
+                path.append(nxt)
+                k, rest = known[cls] = walk(day + 1, visited | bit, w, scale)
+                path.pop()
+            if k:
+                total += k
+                if first is None:
+                    first = (nxt, *rest)
+        return total, first
 
-        for city in starts:
-            yield from walk(city, 1, 1 << city)
-        self.count = sum(known[1 << city, city][0] for city in starts)
+    return ech, walk(0, 0, {}, 1)[0]
 
 
 def _span_report(g: TimeGraph, method: str) -> DimensionReport:
     """Count g's tours and rank their columns by a 'low' scan over Z."""
     t0 = time.monotonic()
-    walk = _Walk(g)
-    ech, _ = _span_echelon(g.n, walk)
-    return DimensionReport(g.n, walk.count, ech.rank, time.monotonic() - t0, method)
+    ech, count = _span_echelon(g)
+    return DimensionReport(g.n, count, ech.rank, time.monotonic() - t0, method)
 
 
 def full_dimension(n: int, cap: int = DEFAULT_CAP) -> DimensionReport:

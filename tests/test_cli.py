@@ -1,7 +1,9 @@
 import json
 import random
+import sys
 import tracemalloc
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -265,6 +267,27 @@ def test_json_reports_are_byte_identical(capsys, tmp_path):
 
 
 def test_oracle_json(capsys):
-    code, out, _ = run(capsys, "oracle", "--n", "5", "--format", "json")
+    for n, dim in [(3, 6), (4, 23), (5, 61), (6, 121), (7, 211)]:
+        code, out, _ = run(capsys, "oracle", "--n", str(n), "--format", "json")
+        report = json.loads(out)
+        assert code == 0
+        assert (report["htps"], report["dim"]) == (factorial(n), dim)
+        assert report["expected_dim"] == (dim if n >= 5 else None)
+
+
+def test_analyze_refuses_an_order_deeper_than_the_walks_recurse(tmp_path, capsys):
+    deep = tmp_path / "deep.tg"
+    TimeGraph.from_htps(1100, [range(1, 1101)]).save(deep)
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(deep), "--cap", "1100"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "order 1100 is deeper than the tour walks may recurse" in err
+    assert "Traceback" not in err
+
+    n = sys.getrecursionlimit() // 2
+    admitted = tmp_path / "admitted.tg"
+    TimeGraph.from_htps(n, [range(1, n + 1)]).save(admitted)
+    code, out, _ = run(capsys, "analyze", str(admitted), "--cap", str(n))
     assert code == 0
-    assert '"dim":61' in out and '"htps":120' in out
+    assert f"dim=1 hamiltonian=true htps=1 n={n}" in out

@@ -1,5 +1,4 @@
 import random
-from itertools import permutations
 from math import inf
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from htpbasis.linalg import IntegerEchelon
 from htpbasis.oracle import (
     DimensionReport,
-    _Walk,
     _span_echelon,
     analyze,
     dimension_of,
@@ -123,17 +121,18 @@ def test_dimension_report_bound_guard():
         DimensionReport(n=5, htp_count=2, dimension=3, elapsed=0.0, method="x")
 
 
-# -- the staged elimination against one plain add per tour -----------------------
+# -- the walk's staged elimination against one plain add per tour -----------------
 
-def _plain_rows(n, tours):
-    ech = IntegerEchelon(edge_count(n), pivot_order="low")
-    for p in tours:
-        ech.add(dict.fromkeys(_tour_columns(n, p), 1))
+def _plain_rows(g):
+    ech = IntegerEchelon(edge_count(g.n), pivot_order="low")
+    for p in enumerate_htps(g):
+        ech.add(dict.fromkeys(_tour_columns(g.n, p), 1))
     return ech.rows
 
 
-def _staged_rows(n, tours):
-    """Rows of the staged scan, which must send only independent tours to add."""
+def _staged_rows(g):
+    """Rows of the walk's scan, which must send add only residuals whose lead
+    is free."""
     accepted = []
     add = IntegerEchelon.add
 
@@ -143,58 +142,50 @@ def _staged_rows(n, tours):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(IntegerEchelon, "add", spy)
-        ech, count = _span_echelon(n, iter(tours))
-    assert count == len(tours)
+        ech, _ = _span_echelon(g)
     assert all(accepted) and len(accepted) == ech.rank
     return ech.rows
 
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_staged_rows_equal_plain_adds(n):
-    tours = list(permutations(range(1, n + 1)))
-    assert _staged_rows(n, tours) == _plain_rows(n, tours)
-
-
-@pytest.mark.parametrize("n", [5, 6])
-def test_staged_rows_equal_plain_adds_in_shuffled_order(n):
-    # Out of lexicographic order few tours share a prefix, and stored rows
-    # get pivot entries above 1, so stages carry a scale.
-    tours = list(permutations(range(1, n + 1)))
-    random.Random(n).shuffle(tours)
-    assert _staged_rows(n, tours) == _plain_rows(n, tours)
-
-
-def test_resumed_stages_carry_their_scale(monkeypatch):
-    # A shuffled head stores rows with pivot entries above 1; the sorted
-    # tail then resumes stages that were scaled to clear them.
-    n = 6
-    tours = list(permutations(range(1, n + 1)))
-    random.Random(15).shuffle(tours)
-    tours[60:] = sorted(tours[60:])
-    scales = []
-    eliminate = IntegerEchelon.eliminate
-
-    def spy(self, w, stop=inf):
-        residual, lead, scale = eliminate(self, w, stop)
-        if lead < 0 and stop < edge_count(n):
-            scales.append(scale)
-        return residual, lead, scale
-
-    monkeypatch.setattr(IntegerEchelon, "eliminate", spy)
-    assert _staged_rows(n, tours) == _plain_rows(n, tours)
-    assert max(scales) > 1
+    g = TimeGraph.complete(n)
+    assert _staged_rows(g) == _plain_rows(g)
 
 
 @settings(max_examples=25, deadline=None)
-@given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1), keep=st.floats(0.3, 0.9))
+@given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1), keep=st.floats(0.3, 0.95))
 def test_staged_rows_equal_plain_adds_on_subgraphs(n, seed, keep):
     rng = random.Random(seed)
     g = TimeGraph(n, frozenset(e for e in all_edges(n) if rng.random() < keep))
-    tours = list(enumerate_htps(g))
-    # The first tour is independent, so a stale residual handed to add for
-    # its repeat would be rejected.
-    for order in (tours, rng.sample(tours, len(tours)), tours[:1] + tours):
-        assert _staged_rows(n, order) == _plain_rows(n, order)
+    assert _staged_rows(g) == _plain_rows(g)
+
+
+def test_resumed_stages_carry_their_scale(monkeypatch, subgraph_factory):
+    # Stored rows doubled have pivot entries of two, so every stage that
+    # clears one carries a scale, and the columns a prefix or a tour adds
+    # later must enter at that scale.
+    import htpbasis.linalg as linalg
+
+    normalized, eliminate = linalg._normalized, IntegerEchelon.eliminate
+    scales = []
+
+    def doubled(w, c):
+        return {k: 2 * x for k, x in normalized(w, c).items()}
+
+    def spy(self, w, stop=inf):
+        residual, lead, scale = eliminate(self, w, stop)
+        scales.append(scale)
+        return residual, lead, scale
+
+    monkeypatch.setattr(linalg, "_normalized", doubled)
+    monkeypatch.setattr(IntegerEchelon, "eliminate", spy)
+    rng = random.Random(15)
+    graphs = [TimeGraph.complete(n) for n in (4, 5, 6)]
+    graphs += [subgraph_factory(rng.randint(4, 7), rng) for _ in range(40)]
+    for g in graphs:
+        assert _staged_rows(g) == _plain_rows(g)
+    assert max(scales) > 1
 
 
 def test_eliminate_carries_the_scale_of_a_pivot_entry_of_two():
@@ -207,13 +198,12 @@ def test_eliminate_carries_the_scale_of_a_pivot_entry_of_two():
     assert ech.eliminate(w) == (*ech.eliminate({0: 1, 2: 1, 3: 1})[:2], 1)
 
 
-@pytest.mark.parametrize("shuffled", [False, True])
-def test_add_finds_the_lead_of_each_staged_row_free(monkeypatch, shuffled):
-    # Every stage is kept and an independent tour's last residual goes to
+@pytest.mark.parametrize("sparse", [False, True])
+def test_add_finds_the_lead_of_each_staged_row_free(monkeypatch, subgraph_factory, sparse):
+    # Every tour resumes from a kept stage and hands its last residual to
     # add, so add meets no stored row at its lead and takes no step.
     import htpbasis.linalg as linalg
 
-    n = 6
     steps, adds = [0], []
     eliminate, add = linalg._eliminate, IntegerEchelon.add
 
@@ -228,38 +218,49 @@ def test_add_finds_the_lead_of_each_staged_row_free(monkeypatch, shuffled):
 
     monkeypatch.setattr(linalg, "_eliminate", count)
     monkeypatch.setattr(IntegerEchelon, "add", spy)
-    tours = list(permutations(range(1, n + 1)))
-    if shuffled:
-        random.Random(1).shuffle(tours)
-    ech, _ = _span_echelon(n, tours)
-    assert adds == [(False, True, 0)] * ech.rank
+    rng = random.Random(1)
+    graphs = ([subgraph_factory(6, rng, 0.7) for _ in range(5)] if sparse
+              else [TimeGraph.complete(6)])
+    for g in graphs:
+        adds.clear()
+        ech, _ = _span_echelon(g)
+        assert adds == [(False, True, 0)] * ech.rank
 
 
-# -- the walk that cuts each repeated prefix class to its first tour ---------------
+# -- the walk scans one tour of each repeated prefix class ---------------------------
 
-def _check_walk(g):
-    """The walk's tours are a lexicographic subsequence of all tours of g, it
-    counts all of them, and a plain scan of its tours stores the same rows."""
-    walk = _Walk(g)
-    kept = list(walk)
-    tours = list(enumerate_htps(g))
-    rest = iter(tours)
-    assert all(p in rest for p in kept)
-    assert walk.count == len(tours)
-    assert _plain_rows(g.n, kept) == _plain_rows(g.n, tours)
-    return kept
+def _check_walk(monkeypatch, g):
+    """The walk counts every tour of g, clears each scanned tour to the end
+    once, and stores the rows of a plain scan; returns the scanned count."""
+    # Stages stop short of the last column; only scanned tours reach it.
+    scanned = []
+    eliminate = IntegerEchelon.eliminate
+
+    def spy(self, w, stop=inf):
+        scanned.append(stop == edge_count(g.n))
+        return eliminate(self, w, stop)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(IntegerEchelon, "eliminate", spy)
+        ech, count = _span_echelon(g)
+    assert count == len(list(enumerate_htps(g)))
+    assert sum(scanned) <= count
+    assert ech.rows == _plain_rows(g)
+    return sum(scanned)
 
 
 @pytest.mark.parametrize("n, kept", [(3, 6), (4, 24), (5, 90), (6, 300), (7, 910)])
-def test_walk_keeps_rows_and_count_on_complete_graphs(n, kept):
-    assert len(_check_walk(TimeGraph.complete(n))) == kept
+def test_walk_keeps_rows_and_count_on_complete_graphs(monkeypatch, n, kept):
+    assert _check_walk(monkeypatch, TimeGraph.complete(n)) == kept
 
 
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(3, 7), seed=st.integers(0, 2**32 - 1), keep=st.floats(0.3, 0.95))
 def test_walk_keeps_rows_and_count_on_subgraphs(n, seed, keep):
     rng = random.Random(seed)
-    _check_walk(TimeGraph(n, frozenset(e for e in all_edges(n) if rng.random() < keep)))
+    g = TimeGraph(n, frozenset(e for e in all_edges(n) if rng.random() < keep))
+    with pytest.MonkeyPatch.context() as mp:
+        _check_walk(mp, g)
 
 
 # -- invariance under the symmetries of the time graph ----------------------------
