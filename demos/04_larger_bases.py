@@ -7,7 +7,7 @@ it on an interior day between fixed neighbours: (n-2)(2n-3) tours, exactly
 the deficit (n-1)(2n-5)+1, with no search and no random tours.  Each order
 is reordered so every row again owns a private pivot edge, which proves the
 orders below the requested one independent; only the requested order is
-also certified by an independent exact rank computation.
+also certified by a rank over GF(2), which verify rechecks exactly.
 
 Pass a maximum order as the first argument (default 8, try 9).
 """

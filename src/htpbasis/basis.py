@@ -15,10 +15,15 @@ n >= 5:
   unit of the rank deficit.  Each order checks its row count against the
   target and, before the next is stacked on it, orders its rows greedily
   so each owns a private pivot edge, which proves them independent;
-* build passes the last order to the tail it shares with complete_basis:
-  one exact elimination over Z, seeded with the partial rows, measures
-  the exact rank, and one pivot sweep over the greedily ordered rows
-  names their private pivots.  The certificate joins the two arguments.
+* build ranks the last order's rows over GF(2), by sparse XOR
+  elimination, and passes them to the tail it shares with
+  complete_basis: one pivot sweep over the greedily ordered rows names
+  their private pivots, and the certificate joins the two arguments.
+  Full rank over GF(2) proves the rows independent over Q, and private
+  pivots make it full on every correct build.  build runs no exact
+  arithmetic, so it shares none with verify_upper_triangular's exact
+  rank over Z.  complete_basis, which picks rows out of a pool, keeps
+  one exact elimination: GF(2) could reject a row independent over Q.
 
 Families and completion rows are turned into their columns once; lifted
 rows take theirs from the order below through one old -> new column map.
@@ -77,10 +82,11 @@ class PivotError(ValueError):
 class CompletionError(RuntimeError):
     """The completion engine could not reach the target rank or ordering.
 
-    stage is "seeding (partial rows dependent)" when the partial rows are
-    linearly dependent, "candidate search" when the completion rows leave
-    the exact rank short of the target, "ordering" when the rows admit no
-    upper-triangular order.
+    stage is "seeding (partial rows dependent)" when complete_basis
+    finds its partial rows linearly dependent, "candidate search" when a
+    level's row count or the certificate's rank (over GF(2) in build,
+    exact in complete_basis) falls short of the target, "ordering" when
+    the rows admit no upper-triangular order.
     """
 
     def __init__(self, achieved: int, target: int, stage: str):
@@ -429,6 +435,29 @@ def _probe_candidates(n: int, base_columns: Sequence[list[int]],
     return added, ech.rank
 
 
+def _gf2_rank(columns: Iterable[Iterable[int]]) -> int:
+    """The rank over GF(2) of 0/1 rows, each given by the columns it holds.
+
+    Each row is reduced as a working set: while its highest column leads a
+    stored row, the two are added mod 2 (a symmetric difference); a row
+    left with a free lead is stored as a tuple under it.  Rank over GF(2)
+    never exceeds rank over Q, so rows of full GF(2) rank are independent
+    over Q; the converse fails (the triangle {0,1}, {1,2}, {0,2} has rank
+    2 over GF(2) and 3 over Q).
+    """
+    rows: dict[int, tuple[int, ...]] = {}
+    for cols in columns:
+        w = set(cols)
+        while w:
+            lead = max(w)
+            row = rows.get(lead)
+            if row is None:
+                rows[lead] = tuple(w)
+                break
+            w.symmetric_difference_update(row)
+    return len(rows)
+
+
 def _ut_ordered(n: int, perms: list, columns: list[list[int]], achieved: int, target: int):
     """perms and columns in greedy order; a stall raises CompletionError at "ordering"."""
     order = _greedy_ut_order(n, columns)
@@ -437,20 +466,20 @@ def _ut_ordered(n: int, perms: list, columns: list[list[int]], achieved: int, ta
     return [perms[i] for i in order], [columns[i] for i in order]
 
 
-def _completed(n: int, perms: list, columns: list[list[int]], partial: int, target: int,
+def _completed(n: int, perms: list, columns: list[list[int]], achieved: int, target: int,
                seed: int, t0: float, **details) -> UpperTriangularBasis:
-    """The first partial rows and each later row that raises the exact rank,
-    greedily ordered, with private pivots and a certificate of that rank."""
-    added, achieved = _probe_candidates(n, columns[:partial], columns[partial:], target)
+    """The selected rows, whose rank is achieved, greedily ordered, with
+    private pivots and a certificate of that rank.
+
+    details names the field the rank was taken over ("rank_field").  A
+    rank short of target raises CompletionError at "candidate search".
+    """
     if achieved < target:
         raise CompletionError(achieved, target, "candidate search")
-    keep = [*range(partial), *(partial + i for i in added)]
-    perms, columns = _ut_ordered(n, [perms[i] for i in keep], [columns[i] for i in keep],
-                                 achieved, target)
+    perms, columns = _ut_ordered(n, perms, columns, achieved, target)
     pivots = _pivot_sequence(n, perms, columns)
     cert = BuildCertificate(pivot_check=True, rank=achieved, target=target, seed=seed,
-                            elapsed=time.monotonic() - t0,
-                            details={"added": len(added), "partial_rows": partial, **details})
+                            elapsed=time.monotonic() - t0, details=details)
     return UpperTriangularBasis(n, tuple(map(PivotedHtp, perms, pivots)), cert)
 
 
@@ -458,10 +487,10 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
                    seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Extend a certified partial basis to exactly target independent rows.
 
-    build's tail: one exact elimination over Z, seeded with the partial
-    rows, keeps each completion row that raises the rank; the rows kept
-    are greedily ordered so each owns a private pivot.  A dependent
-    partial row, a rank shortfall or an ordering stall raises
+    One exact elimination over Z, seeded with the partial rows, keeps each
+    completion row that raises the rank over Q (a row may be independent
+    over Q and not over GF(2)); the rows kept go through build's tail.  A
+    dependent partial row, a rank shortfall or an ordering stall raises
     CompletionError; there is no retry.  seed is only recorded.
     """
     if partial.n != n:
@@ -474,7 +503,12 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
         raise ValueError(f"partial already has {len(partial)} rows > target {target}")
     t0 = time.monotonic()
     perms = partial.perms() + _completion_pool(n)
-    return _completed(n, perms, _columns(n, perms), len(partial), target, seed, t0)
+    columns = _columns(n, perms)
+    base = len(partial)
+    added, achieved = _probe_candidates(n, columns[:base], columns[base:], target)
+    keep = [*range(base), *(base + i for i in added)]
+    return _completed(n, [perms[i] for i in keep], [columns[i] for i in keep], achieved,
+                      target, seed, t0, added=len(added), partial_rows=base, rank_field="Q")
 
 
 def _levels(n: int) -> Iterator[tuple[list, list[list[int]], int, int]]:
@@ -504,9 +538,12 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     """Certified upper-triangular basis with n(n-1)(n-2)+1 rows, n >= 5.
 
     Order 5 is the embedded table.  Above it, build takes the last order
-    of _levels(n) and completes it with the tail that complete_basis runs:
-    the one exact elimination, the greedy order and the pivot sweep.
-    seed is recorded in the certificate and changes no row.
+    of _levels(n), ranks its rows over GF(2) (full on every correct
+    build: private pivots make the rows triangular over any field) and
+    passes them to the tail it shares with complete_basis: the greedy
+    order, the pivot sweep and the certificate.  No exact arithmetic
+    runs, so build and verify_upper_triangular share none.  seed is
+    recorded in the certificate and changes no row.
     """
     if n < 5:
         raise ValueError(f"basis construction starts at order 5, got {n}")
@@ -517,8 +554,10 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     t0 = time.monotonic()
     for perms, columns, families, lifted in _levels(n):
         pass  # each order is dropped once the next has lifted it
-    return _completed(n, perms, columns, families + lifted, dimension_upper_bound(n), seed,
-                      t0, families=families, lifted=lifted)
+    partial = families + lifted
+    return _completed(n, perms, columns, _gf2_rank(columns), dimension_upper_bound(n), seed,
+                      t0, added=len(perms) - partial, partial_rows=partial, families=families,
+                      lifted=lifted, rank_field="GF(2)")
 
 
 # --------------------------------------------------------------------------

@@ -3,18 +3,20 @@
 Vectors are sparse (an EdgeVector stores only its nonzero int or Fraction
 entries), and every exact rank, span and nullspace question is settled by
 one kernel, IntegerEchelon: a sparse fraction-free echelon form over Z.
-The kernel takes integer rows only.  The builder, verify and the
-brute-force oracle hand it tour columns as they are; rank, Subspace and
-the annihilator routines hand it EdgeVectors through one door, _echelon
-(or _row for a single vector), which checks dimensions, skips zero
-vectors and clears denominators once, only for rows holding a Fraction.
+The kernel takes integer rows only.  complete_basis, verify and the
+brute-force oracle hand it tour columns as they are; build ranks its
+rows over GF(2) instead, so it shares no arithmetic with verify's exact
+rank.  rank, Subspace and the annihilator routines hand the kernel
+EdgeVectors through one door, _echelon (or _row for a single vector),
+which checks dimensions, skips zero vectors and clears denominators
+once, only for rows holding a Fraction.
 A row's pivot is the lowest or the highest column of its residual (the
 pivot_order parameter), elimination uses gcd-reduced multipliers, and
 each stored row is divided by its content with a positive pivot entry.
 Its one elimination loop, IntegerEchelon.eliminate, can stop before a
 given column and reports the scale it multiplied the row by, so the
-brute-force oracle clears tours in stages, one per prefix it walks.  No dense row is ever
-built, so time and memory follow the nonzeros present.
+brute-force oracle clears tours in stages, one per prefix it walks.  No
+dense row is ever built, so time and memory follow the nonzeros present.
 annihilator_basis back-substitutes the 'low' echelon to reduced form and
 reads the nullspace off it; orthogonalization runs on Fractions since the
 rationals have no square roots to normalize with.
@@ -29,6 +31,7 @@ independence mod p implies independence over Q.  rank() is always exact.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
@@ -36,7 +39,17 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 # Unused at run time since the modular echelon went sparse; the import
 # stays while the benchmark's start-up probe reads numpy's import time.
-import numpy as np  # noqa: F401
+# The package does no BLAS work, so unless the user chose a thread count,
+# OpenBLAS starts with one thread instead of a pool; the variable is gone
+# again once numpy has read it.
+if "OPENBLAS_NUM_THREADS" in os.environ:
+    import numpy as np  # noqa: F401
+else:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "EdgeVector",
@@ -231,13 +244,14 @@ class IntegerEchelon:
     Rows are dicts column -> nonzero int, keyed by their pivot column and
     stored divided by their content with a positive pivot entry.
     pivot_order 'low' takes each residual's lowest column as its pivot,
-    'high' its highest.  rank() and the builder's completion check scan
-    'high', which is the faster scan on the builder's bases; Subspace,
-    annihilator_basis and the brute-force oracle scan 'low', so the oracle
-    never shares the builder's elimination order.  add and contains take
-    an integer row, a mapping column -> nonzero int, and only read it:
-    elimination works on a copy.  Rational vectors are cleared of
-    denominators before they reach the kernel, by _echelon and _row.
+    'high' its highest.  rank(), verify's recheck and complete_basis
+    scan 'high', which is the faster scan on the builder's bases;
+    Subspace, annihilator_basis and the brute-force oracle scan 'low', so
+    the oracle never shares verify's elimination order.  add and
+    contains take an integer row, a mapping column -> nonzero int, and
+    only read it: elimination works on a copy.  Rational vectors are
+    cleared of denominators before they reach the kernel, by _echelon and
+    _row.
     """
 
     def __init__(self, dim: int, pivot_order: str = "low"):

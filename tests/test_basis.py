@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import htpbasis.basis as basis_mod
+import htpbasis.linalg as linalg_mod
 import htpbasis.timegraph as timegraph_mod
 from htpbasis.annihilators import annihilator_family, dimension_upper_bound
 from htpbasis.basis import (
@@ -26,7 +27,7 @@ from htpbasis.basis import (
     lift_pivot,
     verify_upper_triangular,
 )
-from htpbasis.linalg import IntegerEchelon, inner_product, rank
+from htpbasis.linalg import EdgeVector, IntegerEchelon, inner_product, rank
 from htpbasis.timegraph import (Edge, _tour_columns, all_edges, edge_count, edge_index,
                                 htp_edges, htp_vector)
 
@@ -195,7 +196,7 @@ def test_complete_basis_fills_the_deficit(base5):
     full = complete_basis(6, partial, 121)
     assert len(full) == 121
     assert full.certified
-    assert full.certificate.details["added"] == 36
+    assert full.certificate.details == {"added": 36, "partial_rows": 85, "rank_field": "Q"}
 
 
 # -- completion rows ----------------------------------------------------------------
@@ -323,23 +324,76 @@ def test_build_turns_each_tour_into_columns_once_per_level(monkeypatch):
     assert len(calls) == 782
 
 
-def test_build_runs_one_exact_elimination(monkeypatch):
-    probes, echelons = [], []
-    probe, init = basis_mod._probe_candidates, IntegerEchelon.__init__
+def test_build_runs_no_exact_elimination(monkeypatch):
+    probes, echelons, gf2 = [], [], []
+    gf2_rank, init = basis_mod._gf2_rank, IntegerEchelon.__init__
 
-    def probe_spy(n, *args):
-        probes.append(n)
-        return probe(n, *args)
+    def gf2_spy(columns):
+        gf2.append(len(columns))
+        return gf2_rank(columns)
 
     def init_spy(self, dim, *args, **kwargs):
         echelons.append(dim)
         init(self, dim, *args, **kwargs)
 
-    monkeypatch.setattr(basis_mod, "_probe_candidates", probe_spy)
+    monkeypatch.setattr(basis_mod, "_probe_candidates", lambda *args: probes.append(args))
+    monkeypatch.setattr(basis_mod, "_gf2_rank", gf2_spy)
     monkeypatch.setattr(IntegerEchelon, "__init__", init_spy)
     assert build(10).certified
-    assert probes == [10]
-    assert echelons == [edge_count(10)]
+    assert probes == echelons == []
+    assert gf2 == [dimension_upper_bound(10)]
+
+
+def test_build_and_verify_share_no_arithmetic(monkeypatch):
+    # A broken exact kernel that clears every row it touches: build never
+    # runs it, and verify's exact rank catches it.
+    monkeypatch.setattr(linalg_mod, "_eliminate", lambda w, row, c: ({}, 1))
+    b8 = build(8)
+    assert b8.certified
+    assert b8.certificate.details["rank_field"] == "GF(2)"
+    report = verify_upper_triangular(b8)
+    assert not report.passed
+    failed = {c.label for c in report.checks if not c.passed}
+    assert failed == {"exact rank equals row count", "certificate consistent with recheck"}
+
+
+def _gf2_rank_reference(rows):
+    """Rank over GF(2) of rows given by their column sets, as int bitmasks."""
+    pivots = {}
+    for cols in rows:
+        w = sum(1 << c for c in set(cols))
+        while w:
+            lead = w.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = w
+                break
+            w ^= pivots[lead]
+    return len(pivots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 11)), max_size=14))
+def test_gf2_rank_matches_bitmask_reference(rows):
+    assert basis_mod._gf2_rank([sorted(r) for r in rows]) == _gf2_rank_reference(rows)
+
+
+def test_gf2_rank_is_the_sound_direction():
+    # Dependent over GF(2), independent over Q: the rank reads short, so a
+    # build never claims independence that only holds over Q.
+    triangle = [[0, 1], [1, 2], [0, 2]]
+    assert basis_mod._gf2_rank(triangle) == 2
+    assert rank([EdgeVector(3, dict.fromkeys(cols, 1)) for cols in triangle]) == 3
+    assert basis_mod._gf2_rank([[3, 5, 8], [3, 5, 8], [5, 8, 3]]) == 1
+    assert basis_mod._gf2_rank([[], [4]]) == 1
+
+
+def test_build_raises_on_a_gf2_rank_shortfall(monkeypatch):
+    gf2_rank = basis_mod._gf2_rank
+    monkeypatch.setattr(basis_mod, "_gf2_rank", lambda columns: gf2_rank(columns) - 3)
+    with pytest.raises(CompletionError) as exc:
+        build(7)
+    assert exc.value.stage == "candidate search"
+    assert exc.value.achieved == 208 < exc.value.target == 211
 
 
 def test_levels_count_their_rows_by_source():
@@ -434,7 +488,8 @@ def test_build_is_deterministic(built_bases):
 @pytest.mark.parametrize("n", [6, 7, 8, 9])
 def test_build_certificate_details(built_bases, n):
     details = built_bases[n].certificate.details
-    assert set(details) == {"added", "partial_rows", "families", "lifted"}
+    assert set(details) == {"added", "partial_rows", "families", "lifted", "rank_field"}
+    assert details["rank_field"] == "GF(2)"
     assert details["families"] == (n - 1) ** 2 - 1
     assert details["lifted"] == dimension_upper_bound(n - 1)
     assert details["partial_rows"] == details["families"] + details["lifted"]

@@ -1,7 +1,12 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -384,3 +389,33 @@ def test_edgevector_entry_validation():
         EdgeVector(3, {3: 1})
     v = EdgeVector(3, {1: 0})
     assert v.is_zero
+
+
+_THREADS_PROBE = """
+import json, os, sys
+import htpbasis
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as fh:
+        threads = next(int(ln.split()[1]) for ln in fh if ln.startswith("Threads:"))
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def _import_in_fresh_process(blas_threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env, check=True,
+                          capture_output=True, text=True)
+    return json.loads(proc.stdout)
+
+
+def test_numpy_import_starts_no_blas_thread_pool():
+    variable, threads = _import_in_fresh_process(None)
+    assert variable is None  # set only while numpy is imported
+    if sys.platform.startswith("linux"):
+        assert threads == 1
+    assert _import_in_fresh_process("2")[0] == "2"
