@@ -18,8 +18,11 @@ given column and reports the scale it multiplied the row by, so the
 brute-force oracle clears tours in stages, one per prefix it walks.  No
 dense row is ever built, so time and memory follow the nonzeros present.
 annihilator_basis back-substitutes the 'low' echelon to reduced form and
-reads the nullspace off it; orthogonalization runs on Fractions since the
-rationals have no square roots to normalize with.
+reads the nullspace off it in integers: each free column's vector is
+scaled by the lcm of the pivots it meets and divided by its content, so
+no Fraction is made.  Orthogonalization runs on Fractions since the
+rationals have no square roots to normalize with; _primitive, which
+clears them, serves only that Gram-Schmidt route.
 
 ModularEchelon runs the same sparse elimination modulo a fixed word-sized
 prime.  No path of the package uses it: only its own tests and the
@@ -472,8 +475,14 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
                       ambient_dim: int) -> list[EdgeVector]:
     """Basis of everything orthogonal to the generators, via nullspace elimination.
 
-    Always returns ambient_dim - rank(generators) integer-scaled vectors,
-    each with exact zero inner product against every generator.
+    Always returns ambient_dim - rank(generators) integer vectors, each
+    with exact zero inner product against every generator.  Each free
+    column fc gives one vector, read off the reduced echelon in integers:
+    with m the lcm of the pivot entries of the rows that hold fc, it is m
+    at fc and -row[fc] * (m // row[pc]) at each such row's pivot pc,
+    divided by its content.  That is the primitive integer vector, positive
+    at fc (its highest column), on the line of 1 at fc and
+    -row[fc]/row[pc] at each pc; no Fraction is made.
     """
     gens = generators.generators if isinstance(generators, Subspace) else generators
     ech = _echelon(gens, ambient_dim)
@@ -486,7 +495,7 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
         for q in [k for k in row if k != pc and k in rows]:
             row, _ = _eliminate(row, rows[q], q)
         rows[pc] = _normalized(row, pc)
-    # Free column fc gives 1 at fc and -row[fc]/row[pc] at each pivot pc.
+    # holders[k]: the pivots of the rows holding column k off their pivot.
     holders: dict[int, list[int]] = {}
     for pc, row in rows.items():
         for k in row:
@@ -496,10 +505,12 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
     for fc in range(ambient_dim):
         if fc in rows:
             continue
-        col: dict[int, object] = {fc: 1}
-        for pc in holders.get(fc, ()):
-            col[pc] = Fraction(-rows[pc][fc], rows[pc][pc])
-        basis.append(_primitive(ambient_dim, col))
+        pcs = holders.get(fc, ())
+        m = lcm(*(rows[pc][pc] for pc in pcs))
+        col = {pc: -rows[pc][fc] * (m // rows[pc][pc]) for pc in pcs}
+        col[fc] = m
+        g = gcd(*col.values())
+        basis.append(EdgeVector(ambient_dim, {k: col[k] // g for k in sorted(col)}))
     return basis
 
 

@@ -9,7 +9,8 @@ raises it.
 
 One lexicographic depth-first walk over the graph's day layers both
 enumerates the tours and eliminates them; full_dimension walks the
-complete graph.  The walk skips tours that cannot raise the rank.  A
+complete graph's layers, written down in closed form, without building
+the graph.  The walk skips tours that cannot raise the rank.  A
 prefix's class is its set of visited cities and its last city, and the
 prefixes of one class have the same completions.  Let P' < P be two
 prefixes of one class and S0 the class's lexicographically first
@@ -39,7 +40,8 @@ import time
 from dataclasses import dataclass
 
 from .linalg import IntegerEchelon
-from .timegraph import TimeGraph, _check_order, _column, _layers, edge_count, enumerate_htps
+from .timegraph import (TimeGraph, _check_order, _column, _complete_layers, _layers, edge_count,
+                        enumerate_htps)
 
 __all__ = [
     "DEFAULT_CAP",
@@ -83,7 +85,13 @@ def _check_cap(n: int, cap: int) -> None:
 
 
 def _span_echelon(g: TimeGraph) -> tuple[IntegerEchelon, int]:
-    """The 'low' echelon of the columns of g's tours over Z and their number.
+    """The 'low' echelon of the columns of g's tours over Z and their number."""
+    return _layered_echelon(g.n, _layers(g))
+
+
+def _layered_echelon(n: int, layers: tuple) -> tuple[IntegerEchelon, int]:
+    """The 'low' echelon over Z of the columns of the tours through an order-n
+    graph's day layers (as _layers gives them), and the number of those tours.
 
     The frame of a prefix ending on day d <= n - 2 holds stage d - 1: its
     last edge, added to its parent's residual at the parent's scale, with
@@ -92,10 +100,9 @@ def _span_echelon(g: TimeGraph) -> tuple[IntegerEchelon, int]:
     adds its remaining columns to the stage at hand and is cleared to the
     end; add stores a residual whose lead is free as a plain add would.
     """
-    n = g.n
     dim = edge_count(n)
     ech = IntegerEchelon(dim, pivot_order="low")
-    starts, succ, finishers = _layers(g)
+    starts, succ, finishers = layers
     # (visited cities as a bit mask, last city) -> (completions, first completion)
     known: dict[tuple[int, int], tuple[int, tuple[int, ...] | None]] = {}
     path = [0]  # the start, then the city of each day so far
@@ -149,24 +156,23 @@ def _span_echelon(g: TimeGraph) -> tuple[IntegerEchelon, int]:
     return ech, walk(0, 0, {}, 1)[0]
 
 
-def _span_report(g: TimeGraph, method: str) -> DimensionReport:
-    """Count g's tours and rank their columns by a 'low' scan over Z."""
-    t0 = time.monotonic()
-    ech, count = _span_echelon(g)
-    return DimensionReport(g.n, count, ech.rank, time.monotonic() - t0, method)
-
-
 def full_dimension(n: int, cap: int = DEFAULT_CAP) -> DimensionReport:
     """Exact dimension of the span of all n! tour vectors."""
     _check_cap(n, cap)
     _check_order(n)
-    return _span_report(TimeGraph.complete(n), "exhaustive permutation enumeration")
+    t0 = time.monotonic()
+    ech, count = _layered_echelon(n, _complete_layers(n))
+    return DimensionReport(n, count, ech.rank, time.monotonic() - t0,
+                           "exhaustive permutation enumeration")
 
 
 def dimension_of(g: TimeGraph, cap: int = DEFAULT_CAP) -> DimensionReport:
     """Exact dimension of the span of the tours contained in g."""
     _check_cap(g.n, cap)
-    return _span_report(g, "pruned layered depth-first enumeration")
+    t0 = time.monotonic()
+    ech, count = _span_echelon(g)
+    return DimensionReport(g.n, count, ech.rank, time.monotonic() - t0,
+                           "pruned layered depth-first enumeration")
 
 
 def is_hamiltonian(g: TimeGraph, cap: int = DEFAULT_CAP) -> bool:

@@ -272,6 +272,13 @@ def _layers(g: TimeGraph) -> tuple[list[int], dict[tuple[int, int], list[int]], 
     return starts, succ, finishers
 
 
+def _complete_layers(n: int) -> tuple[list[int], dict[tuple[int, int], list[int]], set[int]]:
+    """_layers of the complete graph of order n, without building the graph."""
+    cities = list(range(1, n + 1))
+    succ = {(i, t): [j for j in cities if j != i] for t in range(1, n) for i in cities}
+    return cities, succ, set(cities)
+
+
 def enumerate_htps(g: TimeGraph) -> Iterator[tuple[int, ...]]:
     """Yield every permutation whose tour lies in g, in lexicographic order.
 

@@ -5,12 +5,13 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from htpbasis import linalg
 from htpbasis.annihilators import city_annihilator, dimension_upper_bound
 from htpbasis.base5 import BASE5_ROWS
 from htpbasis.linalg import (
@@ -25,6 +26,10 @@ from htpbasis.linalg import (
     gram_schmidt,
     in_span,
     inner_product,
+    _echelon,
+    _eliminate,
+    _normalized,
+    _primitive,
     rank,
 )
 from htpbasis.timegraph import edge_count, htp_vector, timepath_vector
@@ -382,6 +387,70 @@ def test_annihilator_basis_matches_golden_hash(case):
     ann = annihilator_basis([htp_vector(n, p) for p in perms], edge_count(n))
     assert len(ann) == edge_count(n) - dimension_upper_bound(n)
     assert _vectors_sha256(ann) == GOLDEN_ANNIHILATOR_SHA256[case]
+
+
+def _fraction_readout(gens, dim):
+    """The annihilator basis read one Fraction column per free column, each made
+    primitive; also returns the largest pivot of the reduced echelon."""
+    rows = _echelon(gens, dim).rows
+    for pc in sorted(rows, reverse=True):
+        row = rows[pc]
+        for q in [k for k in row if k != pc and k in rows]:
+            row, _ = _eliminate(row, rows[q], q)
+        rows[pc] = _normalized(row, pc)
+    basis = []
+    for fc in range(dim):
+        if fc not in rows:
+            col = {fc: 1}
+            for pc, row in rows.items():
+                if fc in row:
+                    col[pc] = Fraction(-row[fc], row[pc])
+            basis.append(_primitive(dim, col))
+    return basis, max((row[pc] for pc, row in rows.items()), default=0)
+
+
+def _weighted_vectors(rng, dim, count):
+    """Seeded generators whose reduced echelon has pivots above 1."""
+    values = [0, 0, 0, 1, -1, 2, -3, 4, 6, Fraction(5, 7), Fraction(-3, 4)]
+    return [EdgeVector(dim, {k: rng.choice(values) for k in range(dim)}) for _ in range(count)]
+
+
+def test_annihilator_basis_matches_the_fraction_readout():
+    rng = random.Random(28)
+    pivots_above_one = 0
+    for _ in range(300):
+        dim = rng.randint(1, 14)
+        gens = _weighted_vectors(rng, dim, rng.randint(0, dim))
+        want, top_pivot = _fraction_readout(gens, dim)
+        got = annihilator_basis(gens, dim)
+        assert [list(w.entries.items()) for w in got] == [list(w.entries.items()) for w in want]
+        pivots_above_one += top_pivot > 1
+    assert pivots_above_one > 100
+
+
+def test_annihilator_vectors_are_primitive_and_positive_at_their_free_column():
+    rng = random.Random(29)
+    for _ in range(200):
+        dim = rng.randint(1, 14)
+        gens = _weighted_vectors(rng, dim, rng.randint(0, dim))
+        pivots = _echelon(gens, dim).rows
+        ann = annihilator_basis(gens, dim)
+        assert [max(w.entries) for w in ann] == [c for c in range(dim) if c not in pivots]
+        for w in ann:
+            assert all(type(x) is int for x in w.entries.values())
+            assert gcd(*w.entries.values()) == 1
+            assert w.entries[max(w.entries)] > 0
+
+
+def test_annihilator_basis_makes_no_fraction(monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            raise AssertionError("annihilator_basis made a Fraction")
+
+    monkeypatch.setattr(linalg, "Fraction", NoFraction)
+    ann = annihilator_basis([htp_vector(6, p) for p in _spanning_sample(6, seed=6, extra=10)],
+                            edge_count(6))
+    assert _vectors_sha256(ann) == GOLDEN_ANNIHILATOR_SHA256["spanning order-6 sample"]
 
 
 def test_edgevector_entry_validation():

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from htpbasis.timegraph import (
     Edge,
     TimeGraph,
+    _complete_layers,
+    _layers,
     all_edges,
     edge_count,
     edge_from_index,
@@ -208,6 +210,11 @@ def test_enumerate_counts_factorial(n):
     for k in range(2, n + 1):
         expected *= k
     assert count == expected
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_complete_layers_match_the_complete_graph(n):
+    assert _complete_layers(n) == _layers(TimeGraph.complete(n))
 
 
 def test_enumerate_without_sources_is_empty():
