@@ -78,18 +78,15 @@ def double_visit_path(n: int, i: int) -> tuple[int, ...]:
 
     These are the dual witnesses for the city balances: the tour leaves
     city i twice but uses one start edge, so it pairs to 1 with the city-i
-    balance and to 0 with every other one.
+    balance and to 0 with every other one.  The tour is i, x, i, with x = 2
+    if i = 1 and x = 1 otherwise, then the other cities below n in
+    ascending order.
     """
     if n < 5:
         raise ValueError(f"double-visit patterns need order >= 5, got {n}")
     _check_range(n, i, "city", n - 1)
-    if i == 1:
-        seq = [1, 2, 1] + list(range(3, n))
-    elif i == n - 1:
-        seq = [n - 1, 1, n - 1] + list(range(2, n - 1))
-    else:
-        seq = [i, 1, i] + list(range(2, i)) + list(range(i + 1, n))
-    return tuple(seq)
+    x = 2 if i == 1 else 1
+    return (i, x, i) + tuple(c for c in range(1, n) if c not in (i, x))
 
 
 def family_size(n: int) -> int:

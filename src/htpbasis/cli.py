@@ -100,7 +100,7 @@ def _cmd_verify(args, parser) -> int:
     except OSError as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except BasisFormatError as exc:
+    except (BasisFormatError, UnicodeDecodeError) as exc:
         print(f"invalid basis file: {exc}", file=sys.stderr)
         return VERIFY_ERROR
     report = verify_upper_triangular(basis)

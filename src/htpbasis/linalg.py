@@ -38,6 +38,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
+from numbers import Rational
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # Unused at run time since the modular echelon went sparse; the import
@@ -195,16 +196,21 @@ def _common_dim(vectors: Sequence[EdgeVector]) -> int:
 
 
 def _integer_entries(entries: Mapping[int, object]) -> dict[int, int]:
-    """Integer copy of a sparse row, scaled by the lcm of its denominators."""
-    scale = 1
-    for val in entries.values():
-        if isinstance(val, Fraction):
-            scale = lcm(scale, val.denominator)
-    out: dict[int, int] = {}
+    """Integer copy of a sparse row, scaled by the lcm of its denominators.
+
+    Entries must be rational (int, bool, Fraction, numpy integers); any
+    other entry, a float say, raises TypeError rather than being rounded.
+    """
+    exact: dict[int, Fraction] = {}
     for k, val in entries.items():
-        sv = val * scale
-        out[k] = sv.numerator if isinstance(sv, Fraction) else int(sv)
-    return out
+        if not isinstance(val, Rational):
+            raise TypeError(f"entry at column {k} is a {type(val).__name__}, not a rational "
+                            "number; exact arithmetic takes int or Fraction entries")
+        # int() on both parts: Fraction(np.int64(v)) keeps an np.int64
+        # numerator, and fixed-width arithmetic would wrap in the kernel.
+        exact[k] = Fraction(int(val.numerator), int(val.denominator))
+    scale = lcm(*(x.denominator for x in exact.values()))
+    return {k: x.numerator * (scale // x.denominator) for k, x in exact.items()}
 
 
 def _primitive(dim: int, entries: Mapping[int, object]) -> EdgeVector:
@@ -272,11 +278,10 @@ class IntegerEchelon:
         scale * w minus an integer combination of stored rows, scale > 0.
         The pivot column is the first lead without a stored row, or -1
         when every lead before stop was cleared.  A stop below the last
-        column only makes sense for the 'low' scan: the brute-force
-        oracle's walk clears each prefix's last edge up to the next day
-        and keeps the residual and scale on the prefix's frame for every
-        tour below it; when no lead before stop is free, every lead the
-        residual still has lies on a later day.
+        column only makes sense for the 'low' scan, where the residual can
+        be resumed: the row's entries from stop on, times scale, may be
+        added to it and the sum handed to a later call.  The brute-force
+        oracle resumes its stages this way.
         """
         rows, lead, scale = self.rows, self._lead, 1
         while w:
@@ -361,8 +366,8 @@ class ModularEchelon:
 def _row(v: EdgeVector, dim: int) -> Mapping[int, int]:
     """v's entries as an integer row of a dim-column echelon.
 
-    All-int entries pass as they are; Fraction entries are cleared of
-    denominators in a copy.
+    All-int entries pass as they are; other rational entries are cleared
+    of denominators in a copy, and any other entry raises TypeError.
     """
     if v.dim != dim:
         raise ValueError(f"dimension mismatch: {v.dim} != {dim}")

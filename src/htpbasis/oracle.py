@@ -84,21 +84,17 @@ def _check_cap(n: int, cap: int) -> None:
             f"order {n} is deeper than the tour walks may recurse: at most {deepest}")
 
 
-def _span_echelon(g: TimeGraph) -> tuple[IntegerEchelon, int]:
-    """The 'low' echelon of the columns of g's tours over Z and their number."""
-    return _layered_echelon(g.n, _layers(g))
-
-
 def _layered_echelon(n: int, layers: tuple) -> tuple[IntegerEchelon, int]:
     """The 'low' echelon over Z of the columns of the tours through an order-n
     graph's day layers (as _layers gives them), and the number of those tours.
 
-    The frame of a prefix ending on day d <= n - 2 holds stage d - 1: its
-    last edge, added to its parent's residual at the parent's scale, with
-    the leads below day d's first column cleared up to a free lead.  A
-    complete tour, or the tour P+S0 of a later prefix of a known class,
-    adds its remaining columns to the stage at hand and is cleared to the
-    end; add stores a residual whose lead is free as a plain add would.
+    Each prefix's frame holds its stage: a prefix ending on day d >= 1
+    adds its last edge to its parent's residual at the parent's scale and
+    clears the leads below day d's first column (the first finish column
+    when d = n) up to a free lead.  A complete tour, or the tour P+S0 of a
+    later prefix of a known class, adds its columns from day d on to the
+    stage at hand and is cleared to the end; add stores a residual whose
+    lead is free as a plain add would.
     """
     dim = edge_count(n)
     ech = IntegerEchelon(dim, pivot_order="low")
@@ -119,7 +115,7 @@ def _layered_echelon(n: int, layers: tuple) -> tuple[IntegerEchelon, int]:
     def scan(rest: list[int], day: int, w: dict[int, int], scale: int) -> None:
         """Clear the tour path + rest from the stage (w, scale) held on day."""
         q = path + rest + [0]
-        cols = [_column(n, q[t], q[t + 1], t) for t in range(min(day, n - 2), n + 1)]
+        cols = [_column(n, q[t], q[t + 1], t) for t in range(day, n + 1)]
         w, lead, _ = clear(cols, w, scale, dim)
         if lead >= 0:
             ech.add(w)
@@ -127,7 +123,7 @@ def _layered_echelon(n: int, layers: tuple) -> tuple[IntegerEchelon, int]:
     def walk(day: int, visited: int, w: dict[int, int], scale: int):
         """Scan the kept tours starting with path; return (completions, first completion)."""
         city = path[-1]
-        if 0 < day <= n - 2:
+        if day:
             stop = n + (day - 1) * n * (n - 1)
             w, _, factor = clear([_column(n, path[-2], city, day - 1)], w, scale, stop)
             scale *= factor
@@ -170,7 +166,7 @@ def dimension_of(g: TimeGraph, cap: int = DEFAULT_CAP) -> DimensionReport:
     """Exact dimension of the span of the tours contained in g."""
     _check_cap(g.n, cap)
     t0 = time.monotonic()
-    ech, count = _span_echelon(g)
+    ech, count = _layered_echelon(g.n, _layers(g))
     return DimensionReport(g.n, count, ech.rank, time.monotonic() - t0,
                            "pruned layered depth-first enumeration")
 

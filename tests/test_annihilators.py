@@ -125,6 +125,20 @@ def test_double_visit_validity(n):
                 assert seq.count(c) == 1
 
 
+def _three_branch_double_visit(n, i):
+    if i == 1:
+        return (1, 2, 1, *range(3, n))
+    if i == n - 1:
+        return (n - 1, 1, n - 1, *range(2, n - 1))
+    return (i, 1, i, *range(2, i), *range(i + 1, n))
+
+
+def test_double_visit_matches_the_three_branch_rule():
+    for n in range(5, 41):
+        for i in range(1, n):
+            assert double_visit_path(n, i) == _three_branch_double_visit(n, i)
+
+
 def test_double_visit_rejections():
     with pytest.raises(ValueError):
         double_visit_path(4, 1)

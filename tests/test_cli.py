@@ -154,6 +154,15 @@ def test_verify_rejects_unnamed_header(tmp_path, capsys):
     assert "n = 6" not in out
 
 
+def test_verify_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "b.txt"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("invalid basis file: ")
+    assert "Traceback" not in err and out == ""
+
+
 def test_basis_exits_1_when_completion_falls_short(monkeypatch, capsys):
     pool = basis_mod._completion_pool
     monkeypatch.setattr(basis_mod, "_completion_pool", lambda n: pool(n)[:5])

@@ -460,6 +460,54 @@ def test_edgevector_entry_validation():
     assert v.is_zero
 
 
+# -- the exact kernel takes rational entries only ----------------------------------
+
+FLOAT_ROW = EdgeVector(2, {0: 1.5, 1: 1})
+ONES = EdgeVector(2, {0: 1, 1: 1})
+
+
+def test_rank_refuses_a_float_entry_it_would_truncate():
+    assert rank([EdgeVector(2, {0: Fraction(3, 2), 1: 1}), ONES]) == 2
+    with pytest.raises(TypeError, match="column 0 is a float"):
+        rank([FLOAT_ROW, ONES])
+
+
+def test_in_span_refuses_a_float_entry():
+    assert not in_span(EdgeVector(2, {0: Fraction(3, 2), 1: 1}), [ONES])
+    with pytest.raises(TypeError, match="column 0 is a float"):
+        in_span(FLOAT_ROW, [ONES])
+
+
+def test_annihilator_basis_refuses_a_float_entry():
+    exact = EdgeVector(2, {0: Fraction(3, 2), 1: 1})
+    assert annihilator_basis([exact], 2) == [EdgeVector(2, {0: -2, 1: 3})]
+    with pytest.raises(TypeError, match="column 0 is a float"):
+        annihilator_basis([FLOAT_ROW], 2)
+
+
+def test_rank_refuses_a_float_entry_below_one():
+    assert rank([EdgeVector(2, {0: Fraction(1, 2)})]) == 1
+    with pytest.raises(TypeError, match="column 0 is a float"):
+        rank([EdgeVector(2, {0: 0.5})])
+
+
+def test_rank_takes_bool_and_numpy_integer_entries():
+    import numpy as np
+
+    rows = [EdgeVector(3, {0: True, 2: np.int64(3)}), EdgeVector(3, {1: np.int32(-2), 2: 1}),
+            EdgeVector(3, {0: 2, 1: -4, 2: 8})]
+    as_ints = [EdgeVector(3, {k: int(x) for k, x in v.items()}) for v in rows]
+    assert rank(rows) == rank(as_ints) == 2
+    # det = 2**64: products of these entries overflow int64, so the kernel
+    # must see Python ints.
+    wide = [EdgeVector(2, {0: np.int64(2**32 + 1), 1: np.int64(1)}),
+            EdgeVector(2, {0: np.int64(2**32), 1: np.int64(2**32)})]
+    assert rank(wide) == 2
+    assert all(type(x) is int for v in wide + rows for x in linalg._row(v, v.dim).values())
+    with pytest.raises(TypeError, match="column 1 is a float64"):
+        rank([EdgeVector(2, {1: np.float64(2.0)})])
+
+
 _THREADS_PROBE = """
 import json, os, sys
 import htpbasis

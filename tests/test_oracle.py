@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from htpbasis.linalg import IntegerEchelon
 from htpbasis.oracle import (
     DimensionReport,
-    _span_echelon,
+    _layered_echelon,
     analyze,
     dimension_of,
     full_dimension,
     is_hamiltonian,
 )
-from htpbasis.timegraph import (Edge, TimeGraph, _tour_columns, all_edges, edge_count,
+from htpbasis.timegraph import (Edge, TimeGraph, _layers, _tour_columns, all_edges, edge_count,
                                 enumerate_htps, htp_vector)
 
 
@@ -142,7 +142,7 @@ def _staged_rows(g):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(IntegerEchelon, "add", spy)
-        ech, _ = _span_echelon(g)
+        ech, _ = _layered_echelon(g.n, _layers(g))
     assert all(accepted) and len(accepted) == ech.rank
     return ech.rows
 
@@ -223,8 +223,38 @@ def test_add_finds_the_lead_of_each_staged_row_free(monkeypatch, subgraph_factor
               else [TimeGraph.complete(6)])
     for g in graphs:
         adds.clear()
-        ech, _ = _span_echelon(g)
+        ech, _ = _layered_echelon(g.n, _layers(g))
         assert adds == [(False, True, 0)] * ech.rank
+
+
+def _staged_days(g):
+    """The days d whose first column, n + (d - 1) n (n - 1), the walk's stages
+    of g stop at; every stop below the last column must be one of them."""
+    n, stops = g.n, []
+    first = {n + (d - 1) * n * (n - 1): d for d in range(1, n + 1)}
+    eliminate = IntegerEchelon.eliminate
+
+    def spy(self, w, stop=inf):
+        if stop < edge_count(n):
+            stops.append(stop)
+        return eliminate(self, w, stop)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntegerEchelon, "eliminate", spy)
+        _layered_echelon(n, _layers(g))
+    assert set(stops) <= first.keys()
+    return {first[s] for s in stops}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_every_day_is_staged_on_complete_graphs(n):
+    assert _staged_days(TimeGraph.complete(n)) == set(range(1, n + 1))
+
+
+def test_stages_stop_at_the_first_column_of_a_day_on_subgraphs(subgraph_factory):
+    rng = random.Random(29)
+    for _ in range(40):
+        _staged_days(subgraph_factory(rng.randint(3, 7), rng))
 
 
 # -- the walk scans one tour of each repeated prefix class ---------------------------
@@ -242,7 +272,7 @@ def _check_walk(monkeypatch, g):
 
     with monkeypatch.context() as mp:
         mp.setattr(IntegerEchelon, "eliminate", spy)
-        ech, count = _span_echelon(g)
+        ech, count = _layered_echelon(g.n, _layers(g))
     assert count == len(list(enumerate_htps(g)))
     assert sum(scanned) <= count
     assert ech.rows == _plain_rows(g)
