@@ -113,7 +113,6 @@ class BuildCertificate:
     rank: int
     target: int
     seed: int | None = None
-    elapsed: float | None = None
     details: dict = field(default_factory=dict)
 
     @property
@@ -467,7 +466,7 @@ def _ut_ordered(n: int, perms: list, columns: list[list[int]], achieved: int, ta
 
 
 def _completed(n: int, perms: list, columns: list[list[int]], achieved: int, target: int,
-               seed: int, t0: float, **details) -> UpperTriangularBasis:
+               seed: int, **details) -> UpperTriangularBasis:
     """The selected rows, whose rank is achieved, greedily ordered, with
     private pivots and a certificate of that rank.
 
@@ -479,7 +478,7 @@ def _completed(n: int, perms: list, columns: list[list[int]], achieved: int, tar
     perms, columns = _ut_ordered(n, perms, columns, achieved, target)
     pivots = _pivot_sequence(n, perms, columns)
     cert = BuildCertificate(pivot_check=True, rank=achieved, target=target, seed=seed,
-                            elapsed=time.monotonic() - t0, details=details)
+                            details=details)
     return UpperTriangularBasis(n, tuple(map(PivotedHtp, perms, pivots)), cert)
 
 
@@ -501,14 +500,13 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
         return partial
     if len(partial) > target:
         raise ValueError(f"partial already has {len(partial)} rows > target {target}")
-    t0 = time.monotonic()
     perms = partial.perms() + _completion_pool(n)
     columns = _columns(n, perms)
     base = len(partial)
     added, achieved = _probe_candidates(n, columns[:base], columns[base:], target)
     keep = [*range(base), *(base + i for i in added)]
     return _completed(n, [perms[i] for i in keep], [columns[i] for i in keep], achieved,
-                      target, seed, t0, added=len(added), partial_rows=base, rank_field="Q")
+                      target, seed, added=len(added), partial_rows=base, rank_field="Q")
 
 
 def _levels(n: int) -> Iterator[tuple[list, list[list[int]], int, int]]:
@@ -551,12 +549,11 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
         base = base_basis_5()
         base.certificate.seed = seed
         return base
-    t0 = time.monotonic()
     for perms, columns, families, lifted in _levels(n):
         pass  # each order is dropped once the next has lifted it
     partial = families + lifted
     return _completed(n, perms, columns, _gf2_rank(columns), dimension_upper_bound(n), seed,
-                      t0, added=len(perms) - partial, partial_rows=partial, families=families,
+                      added=len(perms) - partial, partial_rows=partial, families=families,
                       lifted=lifted, rank_field="GF(2)")
 
 

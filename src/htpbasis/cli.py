@@ -86,7 +86,6 @@ def _cmd_basis(args, parser) -> int:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return USAGE_ERROR
         report = verify_upper_triangular(basis)
-        report.params["seed"] = args.seed
         report.params["out"] = args.out
         print(report.render(args.format), end="")
         return 0 if report.passed else VERIFY_ERROR

@@ -1,15 +1,16 @@
 """Exact linear algebra over the rationals for sparse indexed vectors.
 
-Vectors are sparse (an EdgeVector stores only its nonzero int or Fraction
-entries), and every exact rank, span and nullspace question is settled by
-one kernel, IntegerEchelon: a sparse fraction-free echelon form over Z.
+Vectors are sparse, and every exact rank, span and nullspace question is
+settled by one kernel, IntegerEchelon: a sparse fraction-free echelon
+form over Z.  EdgeVector's constructor is the one door for entries: it
+stores nonzero ints and Fractions under int indices, a whole value as
+int, and raises TypeError on anything else where the vector is made.
 The kernel takes integer rows only.  complete_basis, verify and the
 brute-force oracle hand it tour columns as they are; build ranks its
 rows over GF(2) instead, so it shares no arithmetic with verify's exact
-rank.  rank, Subspace and the annihilator routines hand the kernel
-EdgeVectors through one door, _echelon (or _row for a single vector),
-which checks dimensions, skips zero vectors and clears denominators
-once, only for rows holding a Fraction.
+rank.  rank, Subspace and the annihilator routines hand it EdgeVectors
+through _row, which checks every vector's dimension, a zero one's too,
+and clears denominators once, only for rows holding a Fraction.
 A row's pivot is the lowest or the highest column of its residual (the
 pivot_order parameter), elimination uses gcd-reduced multipliers, and
 each stored row is divided by its content with a positive pivot entry.
@@ -34,6 +35,7 @@ independence mod p implies independence over Q.  rank() is always exact.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -86,28 +88,44 @@ class LinearDependenceError(ValueError):
 class EdgeVector:
     """A sparse exact-rational vector in a coordinate space of fixed dimension.
 
-    Entries map index -> value with zeros never stored, so two vectors are
-    equal exactly when they agree entrywise over Q.
+    Entries map int index -> nonzero int or Fraction, a whole value stored
+    as int, so two vectors are equal exactly when they agree entrywise
+    over Q.  The dimension and indices may be any integer type (bool,
+    numpy) and the entries any rational type; anything else, a float say,
+    raises TypeError here rather than being rounded.
     """
 
     __slots__ = ("dim", "entries")
 
     def __init__(self, dim: int, entries: Mapping[int, object] | None = None):
+        dim = operator.index(dim)
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         self.dim = dim
-        clean: dict[int, object] = {}
+        clean: dict[int, int | Fraction] = {}
         if entries:
             for k, v in entries.items():
+                if type(k) is not int:
+                    k = operator.index(k)
                 if not 0 <= k < dim:
                     raise ValueError(f"index {k} out of range [0, {dim})")
-                if v != 0:
+                if type(v) is not int:
+                    if not isinstance(v, Rational):
+                        raise TypeError(f"entry at column {k} is a {type(v).__name__}, not a "
+                                        "rational number; exact arithmetic takes int or "
+                                        "Fraction entries")
+                    # int(): numpy integers would wrap in fixed-width arithmetic.
+                    if v.denominator == 1:
+                        v = int(v.numerator)
+                    elif type(v) is not Fraction:
+                        v = Fraction(int(v.numerator), int(v.denominator))
+                if v:
                     clean[k] = v
         self.entries = clean
 
     @classmethod
     def from_dense(cls, values: Sequence[object]) -> "EdgeVector":
-        return cls(len(values), {k: v for k, v in enumerate(values) if v != 0})
+        return cls(len(values), dict(enumerate(values)))
 
     @classmethod
     def unit(cls, dim: int, index: int) -> "EdgeVector":
@@ -156,8 +174,6 @@ class EdgeVector:
     def __mul__(self, scalar) -> "EdgeVector":
         if isinstance(scalar, EdgeVector):
             return NotImplemented
-        if scalar == 0:
-            return EdgeVector(self.dim)
         return EdgeVector(self.dim, {k: scalar * v for k, v in self.entries.items()})
 
     __rmul__ = __mul__
@@ -195,29 +211,11 @@ def _common_dim(vectors: Sequence[EdgeVector]) -> int:
     return dims.pop()
 
 
-def _integer_entries(entries: Mapping[int, object]) -> dict[int, int]:
-    """Integer copy of a sparse row, scaled by the lcm of its denominators.
-
-    Entries must be rational (int, bool, Fraction, numpy integers); any
-    other entry, a float say, raises TypeError rather than being rounded.
-    """
-    exact: dict[int, Fraction] = {}
-    for k, val in entries.items():
-        if not isinstance(val, Rational):
-            raise TypeError(f"entry at column {k} is a {type(val).__name__}, not a rational "
-                            "number; exact arithmetic takes int or Fraction entries")
-        # int() on both parts: Fraction(np.int64(v)) keeps an np.int64
-        # numerator, and fixed-width arithmetic would wrap in the kernel.
-        exact[k] = Fraction(int(val.numerator), int(val.denominator))
-    scale = lcm(*(x.denominator for x in exact.values()))
-    return {k: x.numerator * (scale // x.denominator) for k, x in exact.items()}
-
-
-def _primitive(dim: int, entries: Mapping[int, object]) -> EdgeVector:
-    """The positive multiple of a nonzero row with coprime integer entries."""
-    ints = _integer_entries(entries)
+def _primitive(v: EdgeVector) -> EdgeVector:
+    """The positive multiple of a nonzero vector with coprime integer entries."""
+    ints = _row(v, v.dim)
     g = gcd(*ints.values())
-    return EdgeVector(dim, {k: ints[k] // g for k in sorted(ints)})
+    return EdgeVector(v.dim, {k: ints[k] // g for k in sorted(ints)})
 
 
 def _eliminate(w: dict[int, int], row: Mapping[int, int], c: int) -> tuple[dict[int, int], int]:
@@ -366,29 +364,30 @@ class ModularEchelon:
 def _row(v: EdgeVector, dim: int) -> Mapping[int, int]:
     """v's entries as an integer row of a dim-column echelon.
 
-    All-int entries pass as they are; other rational entries are cleared
-    of denominators in a copy, and any other entry raises TypeError.
+    A vector of another dimension raises ValueError, a zero one too.
+    All-int entries pass as they are; a row holding a Fraction is scaled
+    by the lcm of its denominators, in a copy.
     """
     if v.dim != dim:
         raise ValueError(f"dimension mismatch: {v.dim} != {dim}")
     entries = v.entries
     if set(map(type, entries.values())) - {int}:
-        return _integer_entries(entries)
+        scale = lcm(*(x.denominator for x in entries.values()))
+        return {k: x.numerator * (scale // x.denominator) for k, x in entries.items()}
     return entries
 
 
 def _echelon(vectors: Iterable[EdgeVector], dim: int, pivot_order: str = "low") -> IntegerEchelon:
-    """The echelon form over Z of the nonzero vectors, each of dimension dim."""
+    """The echelon form over Z of the vectors, each of dimension dim."""
     ech = IntegerEchelon(dim, pivot_order)
     for v in vectors:
-        if v.entries:
-            ech.add(_row(v, dim))
+        ech.add(_row(v, dim))
     return ech
 
 
 def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "high") -> int:
     """Exact rank over Q of the given vectors."""
-    vecs = [v for v in vectors if v.entries]
+    vecs = list(vectors)
     return _echelon(vecs, vecs[0].dim, pivot_order).rank if vecs else 0
 
 
@@ -422,10 +421,8 @@ class Subspace:
         return self._ech().rank
 
     def contains(self, v: EdgeVector) -> bool:
-        if v.is_zero:
-            return True
         if not self.generators:
-            return False
+            return v.is_zero
         ech = self._ech()
         return ech.contains(_row(v, ech.dim))
 
@@ -529,7 +526,7 @@ def annihilator_basis_gram_schmidt(generators: Iterable[EdgeVector],
     for small ambient dimensions; the elimination route is the fast path.
     """
     ech = IntegerEchelon(ambient_dim)
-    independent = [g for g in generators if g.entries and ech.add(_row(g, ambient_dim))]
+    independent = [g for g in generators if ech.add(_row(g, ambient_dim))]
     k = len(independent)
     extended = list(independent)
     for idx in range(ambient_dim):
@@ -538,4 +535,4 @@ def annihilator_basis_gram_schmidt(generators: Iterable[EdgeVector],
         if ech.add({idx: 1}):
             extended.append(EdgeVector.unit(ambient_dim, idx))
     orthogonal = gram_schmidt(extended)
-    return [_primitive(ambient_dim, v.entries) for v in orthogonal[k:]]
+    return [_primitive(v) for v in orthogonal[k:]]

@@ -41,6 +41,13 @@ def test_basis_to_stdout(capsys):
     assert out.startswith("n 5\nrows 61\ncertified true\n")
 
 
+def test_basis_report_records_the_seed_before_the_file(tmp_path, capsys):
+    path = str(tmp_path / "b6.txt")
+    code, out, _ = run(capsys, "basis", "--n", "6", "--seed", "7", "--out", path)
+    assert code == 0
+    assert f"  seed = 7\n  out = {path}\n" in out
+
+
 def test_basis_rejects_small_order(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["basis", "--n", "4"])

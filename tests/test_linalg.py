@@ -4,10 +4,12 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -405,7 +407,7 @@ def _fraction_readout(gens, dim):
             for pc, row in rows.items():
                 if fc in row:
                     col[pc] = Fraction(-row[fc], row[pc])
-            basis.append(_primitive(dim, col))
+            basis.append(_primitive(EdgeVector(dim, col)))
     return basis, max((row[pc] for pc, row in rows.items()), default=0)
 
 
@@ -460,29 +462,29 @@ def test_edgevector_entry_validation():
     assert v.is_zero
 
 
-# -- the exact kernel takes rational entries only ----------------------------------
+# -- EdgeVector takes rational entries and integer indices only -------------------
 
-FLOAT_ROW = EdgeVector(2, {0: 1.5, 1: 1})
+FLOAT_ENTRIES = {0: 1.5, 1: 1}
 ONES = EdgeVector(2, {0: 1, 1: 1})
 
 
 def test_rank_refuses_a_float_entry_it_would_truncate():
     assert rank([EdgeVector(2, {0: Fraction(3, 2), 1: 1}), ONES]) == 2
     with pytest.raises(TypeError, match="column 0 is a float"):
-        rank([FLOAT_ROW, ONES])
+        rank([EdgeVector(2, FLOAT_ENTRIES), ONES])
 
 
 def test_in_span_refuses_a_float_entry():
     assert not in_span(EdgeVector(2, {0: Fraction(3, 2), 1: 1}), [ONES])
     with pytest.raises(TypeError, match="column 0 is a float"):
-        in_span(FLOAT_ROW, [ONES])
+        in_span(EdgeVector(2, FLOAT_ENTRIES), [ONES])
 
 
 def test_annihilator_basis_refuses_a_float_entry():
     exact = EdgeVector(2, {0: Fraction(3, 2), 1: 1})
     assert annihilator_basis([exact], 2) == [EdgeVector(2, {0: -2, 1: 3})]
     with pytest.raises(TypeError, match="column 0 is a float"):
-        annihilator_basis([FLOAT_ROW], 2)
+        annihilator_basis([EdgeVector(2, FLOAT_ENTRIES)], 2)
 
 
 def test_rank_refuses_a_float_entry_below_one():
@@ -492,8 +494,6 @@ def test_rank_refuses_a_float_entry_below_one():
 
 
 def test_rank_takes_bool_and_numpy_integer_entries():
-    import numpy as np
-
     rows = [EdgeVector(3, {0: True, 2: np.int64(3)}), EdgeVector(3, {1: np.int32(-2), 2: 1}),
             EdgeVector(3, {0: 2, 1: -4, 2: 8})]
     as_ints = [EdgeVector(3, {k: int(x) for k, x in v.items()}) for v in rows]
@@ -506,6 +506,69 @@ def test_rank_takes_bool_and_numpy_integer_entries():
     assert all(type(x) is int for v in wide + rows for x in linalg._row(v, v.dim).values())
     with pytest.raises(TypeError, match="column 1 is a float64"):
         rank([EdgeVector(2, {1: np.float64(2.0)})])
+
+
+def test_edgevector_stores_whole_rationals_as_int():
+    v = EdgeVector(3, {0: True, 1: np.int64(2**40), 2: Fraction(4, 2)})
+    assert v.entries == {0: 1, 1: 2**40, 2: 2}
+    assert all(type(x) is int for x in v.entries.values())
+    half = EdgeVector(1, {0: Fraction(3, 2)}).entries[0]
+    assert type(half) is Fraction and half == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("entry", [1.5, np.float64(2.0), 1j, Decimal("1.5"), "x"], ids=repr)
+def test_edgevector_refuses_a_non_rational_entry(entry):
+    with pytest.raises(TypeError, match="entry at column 1"):
+        EdgeVector(2, {1: entry})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: EdgeVector(3, {1.5: 1}),
+    lambda: EdgeVector(3, {"1": 1}),
+    lambda: EdgeVector(2.5),
+    lambda: EdgeVector.from_dense([0.5]),
+    lambda: EdgeVector.from_dense([0.0, 1]),
+    lambda: EdgeVector(2, {0: 1}) * 0.5,
+], ids=["float index", "string index", "float dim", "from_dense", "from_dense zero float",
+        "float scalar"])
+def test_edgevector_refuses_where_it_is_made(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_edgevector_takes_a_numpy_integer_index():
+    v = EdgeVector(np.int64(3), {np.int64(1): 2})
+    assert type(v.dim) is int and [type(k) for k in v.entries] == [int]
+    assert v == EdgeVector(3, {1: 2})
+
+
+_exact_entries = st.one_of(st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@given(st.integers(1, 6).flatmap(lambda dim: st.tuples(st.just(dim), st.lists(
+    st.dictionaries(st.integers(0, dim - 1), _exact_entries), max_size=7))))
+def test_annihilator_basis_size_is_dim_minus_rank(case):
+    dim, rows = case
+    gens = [EdgeVector(dim, r) for r in rows]
+    assert len(annihilator_basis(gens, dim)) == dim - rank(gens)
+
+
+# -- a zero vector still has a dimension ------------------------------------------
+
+def test_rank_checks_the_dimension_of_a_zero_vector():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        rank([EdgeVector(3), EdgeVector(2, {0: 1})])
+
+
+def test_annihilator_basis_checks_the_dimension_of_a_zero_vector():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        annihilator_basis([EdgeVector(3)], 2)
+
+
+def test_in_span_checks_the_dimension_of_a_zero_vector():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        in_span(EdgeVector(5), [EdgeVector(2, {0: 1})])
 
 
 _THREADS_PROBE = """
