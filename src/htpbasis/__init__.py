@@ -28,7 +28,6 @@ from .annihilators import (
     vertex_annihilator,
 )
 from .basis import (
-    DEFAULT_SEED,
     BasisFormatError,
     BuildCertificate,
     CompletionError,

@@ -29,13 +29,13 @@ Families and completion rows are turned into their columns once; lifted
 rows take theirs from the order below through one old -> new column map.
 base_basis_5 and verify_upper_triangular also read one column table each.
 
-No step is random.  The seed that build() takes is recorded in the
-certificate and changes no row.
+No step is random, so build(n) always returns the same rows.
 """
 
 from __future__ import annotations
 
 import heapq
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -52,7 +52,6 @@ __all__ = [
     "BasisFormatError",
     "BuildCertificate",
     "CompletionError",
-    "DEFAULT_SEED",
     "PivotError",
     "PivotedHtp",
     "UpperTriangularBasis",
@@ -65,9 +64,6 @@ __all__ = [
     "lift_pivot",
     "verify_upper_triangular",
 ]
-
-DEFAULT_SEED = 1729
-
 
 class PivotError(ValueError):
     """No admissible pivot edge for some row; row_index is 0-based."""
@@ -101,6 +97,14 @@ class BasisFormatError(ValueError):
     """A basis file failed structural validation."""
 
 
+# A basis file is read exactly as to_text writes it: integers spelled as
+# str(int) spells them (ASCII digits, a minus sign for a negative value, no
+# leading zero), single spaces, no blank line, and a newline after each line.
+_INT = r"(?:0|-?[1-9][0-9]*)"
+_HEADER = re.compile(rf"n ({_INT})\nrows ({_INT})\ncertified (?:true|false)")
+_ROW_LINE = re.compile(rf"perm: ({_INT}(?: {_INT})*) ; pivot: ({_INT}) ({_INT}) ({_INT})")
+
+
 @dataclass(frozen=True)
 class PivotedHtp:
     htp: tuple[int, ...]
@@ -112,7 +116,6 @@ class BuildCertificate:
     pivot_check: bool
     rank: int
     target: int
-    seed: int | None = None
     details: dict = field(default_factory=dict)
 
     @property
@@ -152,32 +155,28 @@ class UpperTriangularBasis:
 
     @classmethod
     def from_text(cls, text: str) -> "UpperTriangularBasis":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 3:
+        """The basis that to_text wrote as text; any other spelling raises
+        BasisFormatError."""
+        *lines, last = text.split("\n")
+        if last or len(lines) < 3:
             raise BasisFormatError("truncated basis file")
-        try:
-            (n_key, n_text), (rows_key, rows_text) = lines[0].split(), lines[1].split()
-            n, declared = int(n_text), int(rows_text)
-        except ValueError as exc:
-            raise BasisFormatError(f"bad header: {exc}") from exc
-        if (n_key, rows_key) != ("n", "rows"):
-            raise BasisFormatError("header must start with 'n <order>' and 'rows <count>'")
+        header = _HEADER.fullmatch("\n".join(lines[:3]))
+        if header is None:
+            raise BasisFormatError("header must be 'n <order>', 'rows <count>' and "
+                                   f"'certified true|false', got {lines[:3]!r}")
+        n, declared = int(header[1]), int(header[2])
         if n < 3:
             raise BasisFormatError(f"order must be >= 3, got {n}")
-        if not lines[2].startswith("certified"):
-            raise BasisFormatError("missing 'certified' header line")
         rows: list[PivotedHtp] = []
         for lineno, line in enumerate(lines[3:], start=4):
-            try:
-                perm_part, pivot_part = line.split(";")
-                perm = tuple(int(x) for x in perm_part.split(":")[1].split())
-                i, j, t = (int(x) for x in pivot_part.split(":")[1].split())
-            except (IndexError, ValueError) as exc:
-                raise BasisFormatError(f"line {lineno}: unparsable row {line!r}") from exc
+            m = _ROW_LINE.fullmatch(line)
+            if m is None:
+                raise BasisFormatError(f"line {lineno}: unparsable row {line!r}")
+            perm = tuple(map(int, m[1].split(" ")))
             if not _is_permutation(n, perm):
                 raise BasisFormatError(
                     f"line {lineno}: not a permutation of 1..{n}: {perm}")
-            rows.append(PivotedHtp(perm, Edge(i, j, t)))
+            rows.append(PivotedHtp(perm, Edge(int(m[2]), int(m[3]), int(m[4]))))
         if len(rows) != declared:
             raise BasisFormatError(
                 f"header declares {declared} rows, file has {len(rows)}")
@@ -466,7 +465,7 @@ def _ut_ordered(n: int, perms: list, columns: list[list[int]], achieved: int, ta
 
 
 def _completed(n: int, perms: list, columns: list[list[int]], achieved: int, target: int,
-               seed: int, **details) -> UpperTriangularBasis:
+               **details) -> UpperTriangularBasis:
     """The selected rows, whose rank is achieved, greedily ordered, with
     private pivots and a certificate of that rank.
 
@@ -477,20 +476,18 @@ def _completed(n: int, perms: list, columns: list[list[int]], achieved: int, tar
         raise CompletionError(achieved, target, "candidate search")
     perms, columns = _ut_ordered(n, perms, columns, achieved, target)
     pivots = _pivot_sequence(n, perms, columns)
-    cert = BuildCertificate(pivot_check=True, rank=achieved, target=target, seed=seed,
-                            details=details)
+    cert = BuildCertificate(pivot_check=True, rank=achieved, target=target, details=details)
     return UpperTriangularBasis(n, tuple(map(PivotedHtp, perms, pivots)), cert)
 
 
-def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
-                   seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
+def complete_basis(n: int, partial: UpperTriangularBasis, target: int) -> UpperTriangularBasis:
     """Extend a certified partial basis to exactly target independent rows.
 
     One exact elimination over Z, seeded with the partial rows, keeps each
     completion row that raises the rank over Q (a row may be independent
     over Q and not over GF(2)); the rows kept go through build's tail.  A
     dependent partial row, a rank shortfall or an ordering stall raises
-    CompletionError; there is no retry.  seed is only recorded.
+    CompletionError; there is no retry.
     """
     if partial.n != n:
         raise ValueError(f"partial basis has order {partial.n}, expected {n}")
@@ -506,7 +503,7 @@ def complete_basis(n: int, partial: UpperTriangularBasis, target: int,
     added, achieved = _probe_candidates(n, columns[:base], columns[base:], target)
     keep = [*range(base), *(base + i for i in added)]
     return _completed(n, [perms[i] for i in keep], [columns[i] for i in keep], achieved,
-                      target, seed, added=len(added), partial_rows=base, rank_field="Q")
+                      target, added=len(added), partial_rows=base, rank_field="Q")
 
 
 def _levels(n: int) -> Iterator[tuple[list, list[list[int]], int, int]]:
@@ -515,6 +512,7 @@ def _levels(n: int) -> Iterator[tuple[list, list[list[int]], int, int]]:
 
     An order is greedily ordered only when the next one is asked for.
     """
+    # build(5) is base_basis_5(); bench/tracing.py counts this call in basis.build_calls.
     perms = build(5).perms()
     columns = [_tour_columns(5, p) for p in perms]  # checked by base_basis_5
     for m in range(6, n + 1):
@@ -532,7 +530,7 @@ def _levels(n: int) -> Iterator[tuple[list, list[list[int]], int, int]]:
             perms, columns = _ut_ordered(m, perms, columns, target, target)
 
 
-def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
+def build(n: int) -> UpperTriangularBasis:
     """Certified upper-triangular basis with n(n-1)(n-2)+1 rows, n >= 5.
 
     Order 5 is the embedded table.  Above it, build takes the last order
@@ -540,19 +538,16 @@ def build(n: int, seed: int = DEFAULT_SEED) -> UpperTriangularBasis:
     build: private pivots make the rows triangular over any field) and
     passes them to the tail it shares with complete_basis: the greedy
     order, the pivot sweep and the certificate.  No exact arithmetic
-    runs, so build and verify_upper_triangular share none.  seed is
-    recorded in the certificate and changes no row.
+    runs, so build and verify_upper_triangular share none.
     """
     if n < 5:
         raise ValueError(f"basis construction starts at order 5, got {n}")
     if n == 5:
-        base = base_basis_5()
-        base.certificate.seed = seed
-        return base
+        return base_basis_5()
     for perms, columns, families, lifted in _levels(n):
         pass  # each order is dropped once the next has lifted it
     partial = families + lifted
-    return _completed(n, perms, columns, _gf2_rank(columns), dimension_upper_bound(n), seed,
+    return _completed(n, perms, columns, _gf2_rank(columns), dimension_upper_bound(n),
                       added=len(perms) - partial, partial_rows=partial, families=families,
                       lifted=lifted, rank_field="GF(2)")
 
@@ -578,7 +573,6 @@ def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
             "edge_count": edge_count(n),
             "expected_dimension": (dimension_upper_bound(n) if n >= 5
                                    else full_dimension(n).dimension),
-            "seed": basis.certificate.seed if basis.certificate else None,
         },
     )
 

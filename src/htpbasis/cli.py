@@ -15,7 +15,6 @@ import sys
 
 from .annihilators import dimension_upper_bound, verify_duality
 from .basis import (
-    DEFAULT_SEED,
     BasisFormatError,
     CompletionError,
     UpperTriangularBasis,
@@ -38,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("basis", help="build a certified basis and write it out")
     p.add_argument("--n", type=int, required=True, help="graph order (>= 5)")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="recorded in the certificate, changes no row")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report style for the certification summary")
 
@@ -73,7 +70,7 @@ def _cmd_basis(args, parser) -> int:
     if args.n < 5:
         parser.error(f"--n must be >= 5, got {args.n}")
     try:
-        basis = build(args.n, seed=args.seed)
+        basis = build(args.n)
     except CompletionError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR

@@ -132,6 +132,7 @@ class EdgeVector:
         return cls(dim, {index: 1})
 
     def __getitem__(self, index: int) -> object:
+        index = operator.index(index)
         if not 0 <= index < self.dim:
             raise IndexError(index)
         return self.entries.get(index, 0)

@@ -1,8 +1,8 @@
 """Structured pass/fail reports shared by the verification entry points.
 
 Text rendering is for humans and may include timings; JSON rendering is
-for scripts and is byte-stable for identical inputs and seed (it carries
-no clocks).
+for scripts and is byte-stable for identical inputs (it carries no
+clocks).
 """
 
 from __future__ import annotations

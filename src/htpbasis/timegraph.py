@@ -231,12 +231,11 @@ class TimeGraph:
             if n is None:
                 if len(parts) != 2 or parts[0] != "n":
                     raise ValueError(f"line {lineno}: expected 'n <order>', got {line!r}")
-                n = int(parts[1])
+                (n,) = _naturals(lineno, parts[1:])
                 continue
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'i j t', got {line!r}")
-            i, j, t = (int(x) for x in parts)
-            edges.add(Edge(i, j, t))
+            edges.add(Edge(*_naturals(lineno, parts)))
         if n is None:
             raise ValueError("missing 'n <order>' header line")
         return cls(n, frozenset(edges))
@@ -255,6 +254,14 @@ class TimeGraph:
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.to_text())
+
+
+def _naturals(lineno: int, tokens: list[str]) -> list[int]:
+    """A graph file's integers: ASCII digits only, so no sign, '_' or other script."""
+    digits = "".join(tokens)
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"line {lineno}: expected ASCII digits, got {' '.join(tokens)!r}")
+    return [int(x) for x in tokens]
 
 
 def _layers(g: TimeGraph) -> tuple[list[int], dict[tuple[int, int], list[int]], set[int]]:

@@ -476,13 +476,11 @@ def test_build_is_deterministic(built_bases):
     again = build(6)
     assert again.perms() == built_bases[6].perms()
     assert [r.pivot for r in again.rows] == [r.pivot for r in built_bases[6].rows]
-    # The seed is recorded in the certificate and changes no row, at the
-    # embedded order 5 as above it.
-    for n in (5, 7):
-        seeded = build(n, seed=5)
-        assert seeded.to_text() == built_bases[n].to_text()
-        assert seeded.certificate.seed == 5
-    assert basis_mod.base_basis_5().certificate.seed is None
+
+
+def test_build_takes_no_seed():
+    with pytest.raises(TypeError):
+        build(6, seed=1)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8, 9])

@@ -41,11 +41,30 @@ def test_basis_to_stdout(capsys):
     assert out.startswith("n 5\nrows 61\ncertified true\n")
 
 
-def test_basis_report_records_the_seed_before_the_file(tmp_path, capsys):
+def test_basis_report_ends_its_params_with_the_file(tmp_path, capsys):
     path = str(tmp_path / "b6.txt")
-    code, out, _ = run(capsys, "basis", "--n", "6", "--seed", "7", "--out", path)
+    code, out, _ = run(capsys, "basis", "--n", "6", "--out", path)
     assert code == 0
-    assert f"  seed = 7\n  out = {path}\n" in out
+    params = [ln for ln in out.splitlines()[1:]
+              if ln.startswith("  ") and not ln.startswith(("  ok ", "  FAIL "))]
+    assert params[-1] == f"  out = {path}"
+
+
+def test_json_params_come_from_the_file_alone(tmp_path, capsys):
+    path = str(tmp_path / "b6.txt")
+    params = {"n": 6, "rows": 121, "edge_count": 162, "expected_dimension": 121}
+    code, out, _ = run(capsys, "basis", "--n", "6", "--out", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == {**params, "out": path}
+    code, out, _ = run(capsys, "verify", path, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["params"] == params
+
+
+def test_basis_takes_no_seed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["basis", "--n", "6", "--seed", "1"])
+    assert exc.value.code == 2
 
 
 def test_basis_rejects_small_order(capsys):
@@ -159,6 +178,33 @@ def test_verify_rejects_unnamed_header(tmp_path, capsys):
     assert code == 1
     assert "invalid basis file" in err
     assert "n = 6" not in out
+
+
+# Spellings of the order-6 file that no writer produces; each once loaded
+# with the rows of the file it came from.
+_RESPELLINGS = {
+    "underscore in rows": lambda t: t.replace("rows 121\n", "rows 1_21\n", 1),
+    "plus sign": lambda t: t.replace("perm: ", "perm: +", 1),
+    "full-width digit": lambda t: t.replace("n 6\n", "n \uff16\n", 1),
+    "certified suffix": lambda t: t.replace("certified true\n", "certifiedXYZ\n", 1),
+    "double space": lambda t: t.replace("perm: ", "perm:  ", 1),
+    "leading zero": lambda t: t.replace("perm: ", "perm: 0", 1),
+    "blank line": lambda t: t.replace("certified true\n", "certified true\n\n", 1),
+}
+
+
+@pytest.mark.parametrize("respell", _RESPELLINGS.values(), ids=_RESPELLINGS)
+def test_verify_reads_only_the_spelling_basis_writes(built_bases, tmp_path, capsys, respell):
+    text = built_bases[6].to_text()
+    bad = respell(text)
+    assert bad != text
+    with pytest.raises(BasisFormatError):
+        UpperTriangularBasis.from_text(bad)
+    path = tmp_path / "b6.txt"
+    path.write_text(bad, encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("invalid basis file: ") and out == ""
 
 
 def test_verify_rejects_a_file_that_is_not_utf8(tmp_path, capsys):

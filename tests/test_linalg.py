@@ -529,8 +529,10 @@ def test_edgevector_refuses_a_non_rational_entry(entry):
     lambda: EdgeVector.from_dense([0.5]),
     lambda: EdgeVector.from_dense([0.0, 1]),
     lambda: EdgeVector(2, {0: 1}) * 0.5,
+    lambda: EdgeVector(3, {1: 5})[1.5],
+    lambda: EdgeVector(3, {1: 5})[1.0],
 ], ids=["float index", "string index", "float dim", "from_dense", "from_dense zero float",
-        "float scalar"])
+        "float scalar", "float subscript", "whole float subscript"])
 def test_edgevector_refuses_where_it_is_made(make):
     with pytest.raises(TypeError):
         make()
@@ -540,6 +542,7 @@ def test_edgevector_takes_a_numpy_integer_index():
     v = EdgeVector(np.int64(3), {np.int64(1): 2})
     assert type(v.dim) is int and [type(k) for k in v.entries] == [int]
     assert v == EdgeVector(3, {1: 2})
+    assert v[np.int64(1)] == 2
 
 
 _exact_entries = st.one_of(st.integers(-3, 3),

@@ -265,10 +265,26 @@ def test_timegraph_text_comments_and_blanks():
     "n 5\n1 2\n",              # short edge line
     "n 5\nnope\n",
     "",
+    "n 5\n+0 1 0\n",          # integers are ASCII digits only
+    "n 5\n0 0_1 0\n",
+    "n \uff15\n",
+    "n 5\n0 1 0  # inline\n",  # comments take whole lines
 ])
 def test_timegraph_text_rejects_malformed(text):
     with pytest.raises(ValueError):
         TimeGraph.from_text(text)
+
+
+def test_timegraph_text_readme_example():
+    text = ("n 5\n"
+            "# start edge: day 0, into city 1\n"
+            "0 1 0\n"
+            "# city 1 on day 1 -> city 2 on day 2\n"
+            "1 2 1\n"
+            "# finish edge: city 5 on day 5\n"
+            "5 0 5\n")
+    g = TimeGraph.from_text(text)
+    assert g.edges == {Edge(0, 1, 0), Edge(1, 2, 1), Edge(5, 0, 5)}
 
 
 def test_timegraph_rejects_invalid_edges():
