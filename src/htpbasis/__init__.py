@@ -47,7 +47,6 @@ from .linalg import (
     EdgeVector,
     LinearDependenceError,
     MODULAR_PRIME,
-    Subspace,
     annihilator_basis,
     annihilator_basis_gram_schmidt,
     gram_schmidt,

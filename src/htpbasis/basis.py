@@ -182,13 +182,14 @@ class UpperTriangularBasis:
                 f"header declares {declared} rows, file has {len(rows)}")
         return cls(n, tuple(rows))
 
+    # newline="": the bytes on disk are to_text's, and a '\r' reaches from_text.
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_text())
 
     @classmethod
     def load(cls, path) -> "UpperTriangularBasis":
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return cls.from_text(fh.read())
 
 
@@ -588,7 +589,7 @@ def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
         report.elapsed = time.monotonic() - t0
         return report
 
-    columns = _columns(n, basis.perms())
+    columns = [_tour_columns(n, p) for p in basis.perms()]
     violation = _pivot_violation(n, basis.rows, columns)
     if violation is None:
         report.add("pivot edges are private to their rows", True)

@@ -74,11 +74,9 @@ def _cmd_basis(args, parser) -> int:
     except CompletionError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
         return VERIFY_ERROR
-    text = basis.to_text()
     if args.out:
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            basis.save(args.out)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return USAGE_ERROR
@@ -86,7 +84,7 @@ def _cmd_basis(args, parser) -> int:
         report.params["out"] = args.out
         print(report.render(args.format), end="")
         return 0 if report.passed else VERIFY_ERROR
-    print(text, end="")
+    print(basis.to_text(), end="")
     return 0 if basis.certified else VERIFY_ERROR
 
 

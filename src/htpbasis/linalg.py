@@ -8,9 +8,10 @@ int, and raises TypeError on anything else where the vector is made.
 The kernel takes integer rows only.  complete_basis, verify and the
 brute-force oracle hand it tour columns as they are; build ranks its
 rows over GF(2) instead, so it shares no arithmetic with verify's exact
-rank.  rank, Subspace and the annihilator routines hand it EdgeVectors
-through _row, which checks every vector's dimension, a zero one's too,
-and clears denominators once, only for rows holding a Fraction.
+rank.  rank, in_span and annihilator_basis take plain vectors through
+one door, _echelon, and the Gram-Schmidt annihilator route through _row,
+which checks every vector's dimension, a zero one's too, and clears
+denominators once, only for rows holding a Fraction.
 A row's pivot is the lowest or the highest column of its residual (the
 pivot_order parameter), elimination uses gcd-reduced multipliers, and
 each stored row is divided by its content with a positive pivot entry.
@@ -61,7 +62,6 @@ __all__ = [
     "EdgeVector",
     "LinearDependenceError",
     "MODULAR_PRIME",
-    "Subspace",
     "annihilator_basis",
     "annihilator_basis_gram_schmidt",
     "gram_schmidt",
@@ -254,7 +254,7 @@ class IntegerEchelon:
     pivot_order 'low' takes each residual's lowest column as its pivot,
     'high' its highest.  rank(), verify's recheck and complete_basis
     scan 'high', which is the faster scan on the builder's bases;
-    Subspace, annihilator_basis and the brute-force oracle scan 'low', so
+    in_span, annihilator_basis and the brute-force oracle scan 'low', so
     the oracle never shares verify's elimination order.  add and
     contains take an integer row, a mapping column -> nonzero int, and
     only read it: elimination works on a copy.  Rational vectors are
@@ -386,59 +386,19 @@ def _echelon(vectors: Iterable[EdgeVector], dim: int, pivot_order: str = "low") 
     return ech
 
 
-def rank(vectors: Iterable[EdgeVector], *, pivot_order: str = "high") -> int:
+def rank(vectors: Iterable[EdgeVector]) -> int:
     """Exact rank over Q of the given vectors."""
     vecs = list(vectors)
-    return _echelon(vecs, vecs[0].dim, pivot_order).rank if vecs else 0
+    return _echelon(vecs, vecs[0].dim, "high").rank if vecs else 0
 
 
-class Subspace:
-    """A subspace given by generators, with a cached echelon form.
+def in_span(v: EdgeVector, vectors: Iterable[EdgeVector]) -> bool:
+    """Exact membership of v in the rational span of the vectors.
 
-    The echelon rows span exactly the generator span (every elimination
-    step is an invertible integer row operation on denominator-cleared
-    generators).
+    Every vector must have v's dimension, a zero one too, or ValueError
+    is raised; the span of no vectors holds only the zero vector.
     """
-
-    def __init__(self, generators: Iterable[EdgeVector]):
-        self.generators: tuple[EdgeVector, ...] = tuple(generators)
-        self._echelon: IntegerEchelon | None = None
-
-    @property
-    def dim_ambient(self) -> int:
-        if not self.generators:
-            raise ValueError("empty subspace has no recorded ambient dimension")
-        return _common_dim(self.generators)
-
-    def _ech(self) -> IntegerEchelon:
-        if self._echelon is None:
-            self._echelon = _echelon(self.generators, self.dim_ambient)
-        return self._echelon
-
-    @property
-    def rank(self) -> int:
-        if not self.generators:
-            return 0
-        return self._ech().rank
-
-    def contains(self, v: EdgeVector) -> bool:
-        if not self.generators:
-            return v.is_zero
-        ech = self._ech()
-        return ech.contains(_row(v, ech.dim))
-
-    def echelon_vectors(self) -> list[EdgeVector]:
-        """The cached reduced rows; they span exactly the generator span."""
-        if not self.generators:
-            return []
-        ech = self._ech()
-        return [EdgeVector(ech.dim, ech.rows[c]) for c in sorted(ech.rows)]
-
-
-def in_span(v: EdgeVector, s: "Subspace | Iterable[EdgeVector]") -> bool:
-    """Exact membership of v in the rational span of s."""
-    sub = s if isinstance(s, Subspace) else Subspace(s)
-    return sub.contains(v)
+    return _echelon(vectors, v.dim).contains(_row(v, v.dim))
 
 
 # --------------------------------------------------------------------------
@@ -474,8 +434,7 @@ def gram_schmidt(vectors: Sequence[EdgeVector]) -> list[EdgeVector]:
 # annihilators: everything orthogonal to a subspace
 # --------------------------------------------------------------------------
 
-def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
-                      ambient_dim: int) -> list[EdgeVector]:
+def annihilator_basis(generators: Iterable[EdgeVector], ambient_dim: int) -> list[EdgeVector]:
     """Basis of everything orthogonal to the generators, via nullspace elimination.
 
     Always returns ambient_dim - rank(generators) integer vectors, each
@@ -487,8 +446,7 @@ def annihilator_basis(generators: "Subspace | Iterable[EdgeVector]",
     at fc (its highest column), on the line of 1 at fc and
     -row[fc]/row[pc] at each pc; no Fraction is made.
     """
-    gens = generators.generators if isinstance(generators, Subspace) else generators
-    ech = _echelon(gens, ambient_dim)
+    ech = _echelon(generators, ambient_dim)
     # Back-substitute to reduced form, highest pivot first: the rows with a
     # higher pivot are already free of the other pivot columns, so clearing
     # one of them from row pc brings in none of the rest.

@@ -235,7 +235,10 @@ class TimeGraph:
                 continue
             if len(parts) != 3:
                 raise ValueError(f"line {lineno}: expected 'i j t', got {line!r}")
-            edges.add(Edge(*_naturals(lineno, parts)))
+            e = Edge(*_naturals(lineno, parts))
+            if e in edges:
+                raise ValueError(f"line {lineno}: repeated edge {line!r}")
+            edges.add(e)
         if n is None:
             raise ValueError("missing 'n <order>' header line")
         return cls(n, frozenset(edges))
@@ -252,15 +255,17 @@ class TimeGraph:
             return cls.from_text(fh.read())
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_text())
 
 
 def _naturals(lineno: int, tokens: list[str]) -> list[int]:
-    """A graph file's integers: ASCII digits only, so no sign, '_' or other script."""
+    """A graph file's integers: ASCII digits only, so no sign, '_' or other
+    script, and no leading zero."""
     digits = "".join(tokens)
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"line {lineno}: expected ASCII digits, got {' '.join(tokens)!r}")
+    if not (digits.isascii() and digits.isdigit()) or any(x[0] == "0" != x for x in tokens):
+        raise ValueError(f"line {lineno}: expected ASCII digits without a leading zero, "
+                         f"got {' '.join(tokens)!r}")
     return [int(x) for x in tokens]
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import htpbasis as hb
-from htpbasis.linalg import EdgeVector, Subspace
+from htpbasis.linalg import EdgeVector
 from htpbasis.timegraph import TimeGraph, all_edges
 
 
@@ -124,9 +124,8 @@ def test_criterion_5_dimension_split_and_orthogonalization():
             for j in range(i + 1, len(gs)):
                 ok = ok and hb.inner_product(gs[i], gs[j]) == 0
         for i in range(1, len(gs) + 1):
-            sf, sg = Subspace(vs[:i]), Subspace(gs[:i])
-            ok = ok and all(sf.contains(g) for g in gs[:i])
-            ok = ok and all(sg.contains(f) for f in vs[:i])
+            ok = ok and all(hb.in_span(g, vs[:i]) for g in gs[:i])
+            ok = ok and all(hb.in_span(f, gs[:i]) for f in vs[:i])
     _line(5, "dimension splitting and exact orthogonalization properties", ok,
           "100 subspaces, 20 orthogonalizations")
 

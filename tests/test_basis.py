@@ -27,9 +27,9 @@ from htpbasis.basis import (
     lift_pivot,
     verify_upper_triangular,
 )
-from htpbasis.linalg import EdgeVector, IntegerEchelon, inner_product, rank
-from htpbasis.timegraph import (Edge, _tour_columns, all_edges, edge_count, edge_index,
-                                htp_edges, htp_vector)
+from htpbasis.linalg import EdgeVector, IntegerEchelon, _echelon, inner_product, rank
+from htpbasis.timegraph import (Edge, _check_htp, _tour_columns, all_edges, edge_count,
+                                edge_index, htp_edges, htp_vector)
 
 
 # -- base case ---------------------------------------------------------------
@@ -48,7 +48,7 @@ def test_base_basis_first_rows(base5):
 
 def test_base_basis_rank_without_prepass(base5):
     for order in ("low", "high"):
-        assert rank(base5.vectors(), pivot_order=order) == 61
+        assert _echelon(base5.vectors(), edge_count(5), order).rank == 61
 
 
 def test_base_basis_verifies(base5):
@@ -304,7 +304,7 @@ def test_complete_basis_skips_a_pool_tour_already_in_the_span(base5, monkeypatch
 def test_certificate_rank_is_the_exact_rank_of_the_rows(built_bases, n):
     vectors = built_bases[n].vectors()
     for order in ("low", "high"):
-        assert built_bases[n].certificate.rank == rank(vectors, pivot_order=order)
+        assert built_bases[n].certificate.rank == _echelon(vectors, edge_count(n), order).rank
 
 
 def test_build_turns_each_tour_into_columns_once_per_level(monkeypatch):
@@ -733,13 +733,21 @@ def test_verify_turns_each_row_into_columns_once(built_bases, monkeypatch):
         vectors.append(perm)
         return htp_vector(n, perm)
 
+    def check_spy(n, perm):
+        rechecked.append(perm)
+        return _check_htp(n, perm)
+
     for mod in (timegraph_mod, basis_mod):
         monkeypatch.setattr(mod, "_tour_columns", columns_spy)
         monkeypatch.setattr(mod, "htp_vector", vector_spy)
+    rechecked = []
+    monkeypatch.setattr(basis_mod, "_check_htp", check_spy)
     basis = built_bases[7]
     assert verify_upper_triangular(basis).passed
     assert calls == basis.perms()
     assert vectors == []
+    # "rows are valid tours" checks every row; the column table checks none again.
+    assert rechecked == []
 
 
 def test_verify_rank_does_not_lean_on_the_pivot_check(base5, monkeypatch):
@@ -807,6 +815,7 @@ def test_verify_is_invariant_under_relabeling_and_reversal(built_bases, n, data)
 def test_serialization_round_trip(base5, tmp_path):
     path = tmp_path / "b.txt"
     base5.save(path)
+    assert path.read_bytes() == base5.to_text().encode()
     loaded = UpperTriangularBasis.load(path)
     assert loaded.n == 5
     assert loaded.perms() == base5.perms()

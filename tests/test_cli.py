@@ -207,6 +207,20 @@ def test_verify_reads_only_the_spelling_basis_writes(built_bases, tmp_path, caps
     assert err.startswith("invalid basis file: ") and out == ""
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["CRLF", "lone CR"])
+def test_verify_reads_only_newline_line_ends(built_bases, tmp_path, capsys, end):
+    bad = built_bases[6].to_text().replace("\n", end)
+    with pytest.raises(BasisFormatError):
+        UpperTriangularBasis.from_text(bad)
+    path = tmp_path / "b6.txt"
+    path.write_bytes(bad.encode())
+    with pytest.raises(BasisFormatError):
+        UpperTriangularBasis.load(path)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1
+    assert err.startswith("invalid basis file: ") and out == ""
+
+
 def test_verify_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "b.txt"
     path.write_bytes(b"\xff")
@@ -295,6 +309,16 @@ def test_analyze_bad_file(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 2
     assert "invalid graph file" in err
+
+
+@pytest.mark.parametrize("text", ["n 5\n01 2 1\n1 2 1\n", "n 5\n1 2 1\n0 1 0\n1 2 1\n"],
+                         ids=["leading zero", "repeated edge"])
+def test_analyze_refuses_a_second_spelling(tmp_path, capsys, text):
+    path = tmp_path / "g.tg"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid graph file: line ")
 
 
 def test_annihilators_pass(capsys):

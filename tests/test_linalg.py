@@ -22,7 +22,6 @@ from htpbasis.linalg import (
     IntegerEchelon,
     LinearDependenceError,
     ModularEchelon,
-    Subspace,
     annihilator_basis,
     annihilator_basis_gram_schmidt,
     gram_schmidt,
@@ -126,10 +125,8 @@ def test_gram_schmidt_properties_random():
             for j in range(i + 1, len(gs)):
                 assert inner_product(gs[i], gs[j]) == 0
         for i in range(1, len(gs) + 1):
-            prefix_f = Subspace(vs[:i])
-            prefix_g = Subspace(gs[:i])
-            assert all(prefix_f.contains(g) for g in gs[:i])
-            assert all(prefix_g.contains(f) for f in vs[:i])
+            assert all(in_span(g, vs[:i]) for g in gs[:i])
+            assert all(in_span(f, gs[:i]) for f in vs[:i])
 
 
 def test_gram_schmidt_on_tour_vectors():
@@ -149,7 +146,7 @@ def test_rank_empty_is_zero():
 def test_rank_of_base_rows_is_61():
     vs = [htp_vector(5, p) for p, _ in BASE5_ROWS]
     assert rank(vs) == 61
-    assert rank(vs, pivot_order="low") == 61
+    assert _echelon(vs, edge_count(5), "low").rank == 61
 
 
 def test_rank_ignores_zero_vectors():
@@ -167,7 +164,13 @@ def test_rank_pivot_orders_agree():
             # Force dependence: append a combination of two earlier rows.
             a, b = rng.choice(vs), rng.choice(vs)
             vs.append(a + b)
-        assert rank(vs, pivot_order="high") == rank(vs, pivot_order="low")
+        assert rank(vs) == _echelon(vs, dim, "high").rank == _echelon(vs, dim, "low").rank
+
+
+def test_rank_takes_no_pivot_order_and_subspace_is_gone():
+    with pytest.raises(TypeError):
+        rank([vec(1, 0)], pivot_order="low")
+    assert not hasattr(linalg, "Subspace")
 
 
 @pytest.mark.parametrize("rows, expected", [
@@ -186,8 +189,8 @@ def test_rank_prepass_falls_through_when_p_divides(rows, expected):
         scale = lcm(*(Fraction(x).denominator for x in v.entries.values()))
         cleared.append({k: int(x * scale) for k, x in v.entries.items()})
     assert mod.add(cleared[0]) + mod.add(cleared[1]) < 2
-    assert rank(vs, pivot_order="high") == expected
-    assert rank(vs, pivot_order="low") == expected
+    assert rank(vs) == _echelon(vs, 2, "high").rank == expected
+    assert _echelon(vs, 2, "low").rank == expected
 
 
 # Entries at or next to multiples of the prime, some with the prime as
@@ -201,7 +204,8 @@ _near_prime_multiples = st.builds(
     st.lists(_near_prime_multiples, min_size=dim, max_size=dim), min_size=1, max_size=6)))
 def test_rank_pivot_orders_agree_on_rows_near_prime_multiples(rows):
     vs = [EdgeVector.from_dense(r) for r in rows]
-    assert rank(vs, pivot_order="high") == rank(vs, pivot_order="low")
+    dim = len(rows[0])
+    assert rank(vs) == _echelon(vs, dim, "high").rank == _echelon(vs, dim, "low").rank
 
 
 def test_modular_echelon_takes_sparse_rows_below_exact_rank():
@@ -248,7 +252,7 @@ def test_integer_echelon_only_reads_the_rows_it_is_given():
     probe = EdgeVector(6, {0: 1, 1: 1, 2: 1})
     vectors = stored + [probe]
     before = [dict(v.entries) for v in vectors]
-    assert rank(vectors) == rank(vectors, pivot_order="low") == 3
+    assert rank(vectors) == _echelon(vectors, 6, "low").rank == 3
     assert not in_span(probe, stored)
     assert len(annihilator_basis(vectors, 6)) == 3
     assert [v.entries for v in vectors] == before
@@ -277,10 +281,19 @@ def test_in_span_examples():
     assert not in_span(vec(1, 1, -1), gens)  # orthogonal to both, nonzero
 
 
-def test_in_span_accepts_subspace():
-    s = Subspace([vec(1, 2), vec(0, 1)])
-    assert s.rank == 2
-    assert in_span(vec(7, -3), s)
+def test_in_span_takes_plain_vectors_once():
+    # The span of no vectors holds only the zero vector.
+    assert in_span(EdgeVector(3), [])
+    assert not in_span(vec(0, 1, 0), [])
+    # A generator of another dimension raises, a zero one too, whatever the probe.
+    for gens in ([vec(1, 0, 0)], [EdgeVector(3)], [vec(1, 0), EdgeVector(3)]):
+        with pytest.raises(ValueError):
+            in_span(vec(1, 0), gens)
+    # A one-shot iterator is read once.
+    gens = [vec(1, 0, 1), vec(0, 1, 1)]
+    assert in_span(vec(1, 1, 2), iter(gens))
+    assert len(annihilator_basis(iter(gens), 3)) == 1
+    assert rank(iter(gens)) == 2
 
 
 def test_subspace_echelon_spans_the_same_space():
@@ -288,12 +301,11 @@ def test_subspace_echelon_spans_the_same_space():
     for _ in range(20):
         dim = rng.randint(1, 10)
         gens = rational_vectors(rng, dim, rng.randint(1, 8))
-        s = Subspace(gens)
-        reduced = s.echelon_vectors()
-        assert len(reduced) == s.rank
-        other = Subspace(reduced)
-        assert all(other.contains(g) for g in gens)
-        assert all(s.contains(r) for r in reduced)
+        ech = _echelon(gens, dim)
+        reduced = [EdgeVector(dim, row) for row in ech.rows.values()]
+        assert len(reduced) == ech.rank == rank(gens)
+        assert all(in_span(g, reduced) for g in gens)
+        assert all(in_span(r, gens) for r in reduced)
 
 
 # -- annihilator bases -------------------------------------------------------
@@ -346,9 +358,8 @@ def test_annihilator_gram_schmidt_route_agrees():
         for w in slow:
             for g in gens:
                 assert inner_product(w, g) == 0
-        span_fast, span_slow = Subspace(fast), Subspace(slow)
-        assert all(span_fast.contains(w) for w in slow)
-        assert all(span_slow.contains(w) for w in fast)
+        assert all(in_span(w, fast) for w in slow)
+        assert all(in_span(w, slow) for w in fast)
 
 
 def _spanning_sample(n: int, seed: int, extra: int) -> list[tuple[int, ...]]:

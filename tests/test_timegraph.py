@@ -269,6 +269,9 @@ def test_timegraph_text_comments_and_blanks():
     "n 5\n0 0_1 0\n",
     "n \uff15\n",
     "n 5\n0 1 0  # inline\n",  # comments take whole lines
+    "n 5\n01 2 1\n",          # no leading zero
+    "n 05\n",
+    "n 5\n1 2 1\n1 2 1\n",    # no repeated edge
 ])
 def test_timegraph_text_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -296,4 +299,5 @@ def test_timegraph_file_round_trip(tmp_path):
     g = TimeGraph.from_htps(5, [(2, 1, 4, 5, 3)])
     path = tmp_path / "g.tg"
     g.save(path)
+    assert path.read_bytes() == g.to_text().encode()
     assert TimeGraph.load(path) == g
