@@ -25,6 +25,12 @@ n >= 5:
   rank over Z.  complete_basis, which picks rows out of a pool, keeps
   one exact elimination: GF(2) could reject a row independent over Q.
 
+Both ranks of a finished basis, build's over GF(2) and verify's over Z,
+run on the rows last first with their columns relabelled by _rare_first,
+so each elimination leads with the column that the fewest rows hold
+and meets little fill-in.  A rank is a number: neither the labels nor
+the row order can change it, so no row, byte or report depends on them.
+
 Families and completion rows are turned into their columns once; lifted
 rows take theirs from the order below through one old -> new column map.
 base_basis_5 and verify_upper_triangular also read one column table each.
@@ -37,7 +43,9 @@ from __future__ import annotations
 import heapq
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 from .annihilators import dimension_upper_bound
@@ -439,7 +447,9 @@ def _gf2_rank(columns: Iterable[Iterable[int]]) -> int:
 
     Each row is reduced as a working set: while its highest column leads a
     stored row, the two are added mod 2 (a symmetric difference); a row
-    left with a free lead is stored as a tuple under it.  Rank over GF(2)
+    left with a free lead is stored as a tuple under it.  build hands it
+    its rows through _rare_first, so the highest column is the rarest
+    and the working sets stay small.  Rank over GF(2)
     never exceeds rank over Q, so rows of full GF(2) rank are independent
     over Q; the converse fails (the triangle {0,1}, {1,2}, {0,2} has rank
     2 over GF(2) and 3 over Q).
@@ -455,6 +465,23 @@ def _gf2_rank(columns: Iterable[Iterable[int]]) -> int:
                 break
             w.symmetric_difference_update(row)
     return len(rows)
+
+
+def _rare_first(columns: list[list[int]]) -> list[list[int]]:
+    """The rows of a column table, the last first, with their columns relabelled
+    in place 0, 1, ... from the most held to the least held, ties by column.
+
+    Neither the labels nor the row order change a rank, and the labels
+    follow from the rows' own columns alone.  A scan that eliminates the
+    highest label first then leads with the column the fewest rows hold,
+    so elimination meets little fill-in (Markowitz's rule).  Only the
+    columns present are counted, so memory follows the table.
+    """
+    counts = Counter(chain.from_iterable(columns))
+    label = {c: i for i, c in enumerate(sorted(counts, key=lambda c: (-counts[c], c)))}
+    for cols in columns:
+        cols[:] = [label[c] for c in cols]
+    return columns[::-1]
 
 
 def _ut_ordered(n: int, perms: list, columns: list[list[int]], achieved: int, target: int):
@@ -548,7 +575,9 @@ def build(n: int) -> UpperTriangularBasis:
     for perms, columns, families, lifted in _levels(n):
         pass  # each order is dropped once the next has lifted it
     partial = families + lifted
-    return _completed(n, perms, columns, _gf2_rank(columns), dimension_upper_bound(n),
+    # _completed still reads the original columns, so the relabel works on a copy.
+    achieved = _gf2_rank(_rare_first([cols.copy() for cols in columns]))
+    return _completed(n, perms, columns, achieved, dimension_upper_bound(n),
                       added=len(perms) - partial, partial_rows=partial, families=families,
                       lifted=lifted, rank_field="GF(2)")
 
@@ -558,8 +587,12 @@ def build(n: int) -> UpperTriangularBasis:
 # --------------------------------------------------------------------------
 
 def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
-    """Full recheck of a basis: structure, private pivots and an exact 'high'
-    rank over Z that does not trust them, both read off one column table.
+    """Full recheck of a basis: structure, private pivots and an exact rank
+    over Z that does not trust them, both read off one column table.
+
+    The rank scans 'high' over the rows last first, relabelled rarest
+    column highest by _rare_first; the relabel reads the rows' columns
+    only, never the declared pivots, and cannot change the rank.
 
     params["expected_dimension"] is the dimension of the span of all tours:
     n(n-1)(n-2)+1, or the brute-force oracle's answer below order 5.
@@ -601,7 +634,8 @@ def verify_upper_triangular(basis: UpperTriangularBasis) -> Report:
                    detail=f"row {violation[1]} reuses the pivot of row {violation[0]}")
 
     ech = IntegerEchelon(edge_count(n), pivot_order="high")
-    measured = sum(ech.add(dict.fromkeys(cols, 1)) for cols in columns)
+    # The pivot check is done with the table, so the relabel may overwrite it.
+    measured = sum(ech.add(dict.fromkeys(cols, 1)) for cols in _rare_first(columns))
     report.add("exact rank equals row count", measured == len(basis),
                expected=len(basis), actual=measured)
 

@@ -5,8 +5,9 @@ settled by one kernel, IntegerEchelon: a sparse fraction-free echelon
 form over Z.  EdgeVector's constructor is the one door for entries: it
 stores nonzero ints and Fractions under int indices, a whole value as
 int, and raises TypeError on anything else where the vector is made.
-The kernel takes integer rows only.  complete_basis, verify and the
-brute-force oracle hand it tour columns as they are; build ranks its
+The kernel takes integer rows only.  complete_basis and the brute-force
+oracle hand it tour columns as they are, and verify hands it the same
+columns relabelled rarest first (basis._rare_first); build ranks its
 rows over GF(2) instead, so it shares no arithmetic with verify's exact
 rank.  rank, in_span and annihilator_basis take plain vectors through
 one door, _echelon, and the Gram-Schmidt annihilator route through _row,
@@ -253,9 +254,11 @@ class IntegerEchelon:
     stored divided by their content with a positive pivot entry.
     pivot_order 'low' takes each residual's lowest column as its pivot,
     'high' its highest.  rank(), verify's recheck and complete_basis
-    scan 'high', which is the faster scan on the builder's bases;
-    in_span, annihilator_basis and the brute-force oracle scan 'low', so
-    the oracle never shares verify's elimination order.  add and
+    scan 'high'; verify first relabels its columns so that the highest
+    is the one the fewest rows hold, which keeps fill-in low whatever
+    the row order.  in_span, annihilator_basis and the brute-force
+    oracle scan 'low', so the oracle never shares verify's elimination
+    order.  add and
     contains take an integer row, a mapping column -> nonzero int, and
     only read it: elimination works on a copy.  Rational vectors are
     cleared of denominators before they reach the kernel, by _echelon and

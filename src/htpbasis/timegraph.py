@@ -221,13 +221,16 @@ class TimeGraph:
 
     @classmethod
     def from_text(cls, text: str) -> "TimeGraph":
+        """The graph of a text in the one spelling: lines end in '\\n' alone,
+        fields are split by single ASCII spaces, integers are ASCII digits
+        with no leading zero, and an empty line or one that starts with '#'
+        is skipped.  Any other spelling raises ValueError naming its line."""
         n = None
         edges: set[Edge] = set()
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
+            parts = line.split(" ")
             if n is None:
                 if len(parts) != 2 or parts[0] != "n":
                     raise ValueError(f"line {lineno}: expected 'n <order>', got {line!r}")
@@ -251,7 +254,8 @@ class TimeGraph:
 
     @classmethod
     def load(cls, path) -> "TimeGraph":
-        with open(path, "r", encoding="utf-8") as fh:
+        # newline="": a '\r' in the file reaches from_text, which refuses it.
+        with open(path, "r", encoding="utf-8", newline="") as fh:
             return cls.from_text(fh.read())
 
     def save(self, path) -> None:
@@ -260,10 +264,9 @@ class TimeGraph:
 
 
 def _naturals(lineno: int, tokens: list[str]) -> list[int]:
-    """A graph file's integers: ASCII digits only, so no sign, '_' or other
-    script, and no leading zero."""
-    digits = "".join(tokens)
-    if not (digits.isascii() and digits.isdigit()) or any(x[0] == "0" != x for x in tokens):
+    """A graph file's integers: ASCII digits only, so no sign, '_', space or
+    other script, and no leading zero."""
+    if not all(x.isascii() and x.isdigit() and (x == "0" or x[0] != "0") for x in tokens):
         raise ValueError(f"line {lineno}: expected ASCII digits without a leading zero, "
                          f"got {' '.join(tokens)!r}")
     return [int(x) for x in tokens]

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -385,6 +386,59 @@ def test_gf2_rank_is_the_sound_direction():
     assert rank([EdgeVector(3, dict.fromkeys(cols, 1)) for cols in triangle]) == 3
     assert basis_mod._gf2_rank([[3, 5, 8], [3, 5, 8], [5, 8, 3]]) == 1
     assert basis_mod._gf2_rank([[], [4]]) == 1
+
+
+def test_rare_first_relabels_the_columns_present_injectively():
+    table = [[7, 2, 40], [2, 9], [40, 2, 5], [9, 40, 7]]
+    original = [cols.copy() for cols in table]
+    relabelled = basis_mod._rare_first(table)
+    # Rows come last first, and the table itself is relabelled in place.
+    assert [id(cols) for cols in relabelled] == [id(cols) for cols in reversed(table)]
+    label = {}
+    for old, new in zip(reversed(original), relabelled):
+        assert len(old) == len(new)
+        for c, x in zip(old, new):
+            assert label.setdefault(c, x) == x
+    # One label per column present, most held first, ties by column.
+    assert label == {2: 0, 40: 1, 7: 2, 9: 3, 5: 4}
+    assert basis_mod._rare_first([]) == []
+
+
+def _exact_and_gf2_rank(table, dim):
+    ech = IntegerEchelon(dim, pivot_order="high")
+    exact = sum(ech.add(dict.fromkeys(cols, 1)) for cols in table)
+    return exact, basis_mod._gf2_rank(table)
+
+
+def _relabelled_and_shuffled(table, rng):
+    shuffled = [cols.copy() for cols in table]
+    rng.shuffle(shuffled)
+    return [basis_mod._rare_first([cols.copy() for cols in table]), shuffled,
+            basis_mod._rare_first([cols.copy() for cols in shuffled])]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 11)), max_size=14), st.randoms(use_true_random=False))
+def test_rare_first_keeps_both_ranks_of_random_tables(rows, rng):
+    table = [sorted(r) for r in rows]
+    ranks = _exact_and_gf2_rank(table, 12)
+    for other in _relabelled_and_shuffled(table, rng):
+        assert _exact_and_gf2_rank(other, 12) == ranks
+
+
+@cache
+def _build_table(m):
+    return _columns(m, build(m).perms())
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(6, 9), st.randoms(use_true_random=False))
+def test_rare_first_keeps_both_ranks_of_build_tables(m, rng):
+    table = _build_table(m)
+    full = (dimension_upper_bound(m),) * 2
+    assert _exact_and_gf2_rank(table, edge_count(m)) == full
+    for other in _relabelled_and_shuffled(table, rng):
+        assert _exact_and_gf2_rank(other, edge_count(m)) == full
 
 
 def test_build_raises_on_a_gf2_rank_shortfall(monkeypatch):

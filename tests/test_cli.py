@@ -12,6 +12,7 @@ from htpbasis.basis import (BasisFormatError, PivotedHtp, UpperTriangularBasis, 
                             _greedy_ut_order, find_pivot_sequence, verify_upper_triangular)
 from htpbasis.cli import main
 from htpbasis.timegraph import TimeGraph, all_edges
+from test_timegraph import SECOND_SPELLINGS
 
 
 def run(capsys, *argv):
@@ -100,6 +101,20 @@ def test_verify_reordered_rows_fail_pivot_check(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", path)
     assert code == 1
     assert "FAIL pivot edges are private to their rows" in out
+
+
+def test_verify_rank_does_not_depend_on_the_row_order(built_bases, tmp_path, capsys):
+    path = tmp_path / "b8.txt"
+    lines = built_bases[8].to_text().splitlines()
+    head, rows = lines[:3], lines[3:]
+    random.Random(8).shuffle(rows)
+    path.write_text("\n".join(head + rows) + "\n")
+    code, out, _ = run(capsys, "verify", str(path), "--format", "json")
+    assert code == 1
+    checks = {c["label"]: c for c in json.loads(out)["checks"]}
+    assert not checks["pivot edges are private to their rows"]["passed"]
+    rank = checks["exact rank equals row count"]
+    assert rank["passed"] and rank["actual"] == 337
 
 
 def test_verify_rejects_short_basis(tmp_path, capsys):
@@ -311,11 +326,14 @@ def test_analyze_bad_file(tmp_path, capsys):
     assert "invalid graph file" in err
 
 
-@pytest.mark.parametrize("text", ["n 5\n01 2 1\n1 2 1\n", "n 5\n1 2 1\n0 1 0\n1 2 1\n"],
-                         ids=["leading zero", "repeated edge"])
+@pytest.mark.parametrize("text", [
+    pytest.param("n 5\n01 2 1\n1 2 1\n", id="leading zero"),
+    pytest.param("n 5\n1 2 1\n0 1 0\n1 2 1\n", id="repeated edge"),
+    *SECOND_SPELLINGS,
+])
 def test_analyze_refuses_a_second_spelling(tmp_path, capsys, text):
     path = tmp_path / "g.tg"
-    path.write_text(text)
+    path.write_bytes(text.encode())
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 2 and out == ""
     assert err.startswith("invalid graph file: line ")

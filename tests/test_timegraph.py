@@ -260,6 +260,24 @@ def test_timegraph_text_comments_and_blanks():
     assert g.n == 5 and len(g.edges) == 2
 
 
+# One graph, n 5 with the edge 0 1 0, in spellings other than "n 5\n0 1 0\n":
+# lines end in "\n" alone and fields are split by one ASCII space.
+SECOND_SPELLINGS = [
+    "n 5\r\n0 1 0\r\n",          # CRLF
+    "n 5\r0 1 0\r",              # lone CR
+    "n 5\x0b0 1 0\n",            # vertical tab as a line end
+    "n 5\u20280 1 0\n",          # Unicode line separator
+    "n 5\n0\u30001\u30000\n",    # ideographic spaces
+    "n 5\n0\t1\t0\n",            # tabs
+    "n 5\n0  1 0\n",             # a doubled space
+    "n  5\n0 1 0\n",
+    "n 5\n 0 1 0\n",             # leading and trailing spaces
+    "n 5 \n0 1 0\n",
+    "n 5\n \n0 1 0\n",           # a line of spaces is not blank
+    "n 5\n  # indented\n0 1 0\n",  # a comment starts its line
+]
+
+
 @pytest.mark.parametrize("text", [
     "0 1 0\n",                 # missing header
     "n 5\n1 2\n",              # short edge line
@@ -272,6 +290,7 @@ def test_timegraph_text_comments_and_blanks():
     "n 5\n01 2 1\n",          # no leading zero
     "n 05\n",
     "n 5\n1 2 1\n1 2 1\n",    # no repeated edge
+    *SECOND_SPELLINGS,
 ])
 def test_timegraph_text_rejects_malformed(text):
     with pytest.raises(ValueError):
